@@ -47,91 +47,78 @@ module Make (P : POLICY) :
   Stm_intf.S with type 'a tvar = 'a Tvar.t = struct
   let name = P.name
 
-  type 'a tvar = 'a Tvar.t
-
   type ctx = {
-    tx_id : int;
+    root : Frame_intf.root;
     mutable cur_tx : int;  (* innermost transaction id, for recording *)
-    mutable rv : int;      (* upper bound of the validity interval *)
     rset : Rwsets.Rset.t;
-    wset : Rwsets.Wset.t;
-    rec_state : Txrec.t option;
   }
 
   let stats = Stats.create ()
 
-  let current : ctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+  let record_scan ctx =
+    if Stats.detailed_enabled () then
+      Stats.record_validation_len stats (Rwsets.Rset.last_scan ctx.rset)
 
-  let () =
-    Runtime.register_tls
-      ~save:(fun () -> Obj.repr (Domain.DLS.get current))
-      ~restore:(fun o -> Domain.DLS.set current (Obj.obj o : ctx option))
+  include Frame.Make_tvar (struct
+    type nonrec ctx = ctx
 
-  let tvar = Tvar.make
-  let peek = Tvar.peek
-  [@@txlint.allow "stm-escape"
-       "re-export of the quiescent escape hatch; callers are linted at \
-        their own sites"]
+    let stats = stats
 
-  let unsafe_write = Tvar.unsafe_write
-  [@@txlint.allow "stm-escape"
-       "re-export of the quiescent escape hatch; callers are linted at \
-        their own sites"]
-  let tvar_id = Tvar.id
-  let in_transaction () = Option.is_some (Domain.DLS.get current)
+    let start _ (root : Frame_intf.root) (s : Frame_intf.sets) =
+      { root; cur_tx = root.owner; rset = s.rset }
+
+    let root ctx = ctx.root
+
+    let validate ctx =
+      let ok = Rwsets.Rset.validate ctx.rset ~owner:ctx.root.owner in
+      record_scan ctx;
+      ok
+
+    let validate_new ctx =
+      let ok = Rwsets.Rset.validate_new ctx.rset ~owner:ctx.root.owner in
+      record_scan ctx;
+      ok
+
+    let validate_read_only _ = true
+    let iter_reads ctx f = Rwsets.Rset.iter f ctx.rset
+    let reads ctx = Rwsets.Rset.length ctx.rset
+  end)
 
   let read : type a. ctx -> a tvar -> a =
    fun ctx tv ->
     Runtime.schedule_point_on (Runtime.Read (Tvar.id tv));
-    match Rwsets.Wset.find ctx.wset tv with
+    match Rwsets.Wset.find ctx.root.wset tv with
     | Some v ->
       if Stats.detailed_enabled () then Stats.record_read_ws_hit stats;
-      Txrec.read ctx.rec_state ~tx:ctx.cur_tx ~pe:(Tvar.id tv)
-        ~repr:(Recorder.repr_of_value v);
+      Txrec.read ctx.root.rec_state ~tx:ctx.cur_tx ~pe:(Tvar.id tv) v;
       v
     | None ->
       if Stats.detailed_enabled () then Stats.record_read_ws_miss stats;
       let s, v = Tvar.read_consistent tv in
-      if Vlock.version_of s > ctx.rv then begin
+      if Vlock.version_of s > ctx.root.rv then begin
         if not P.extend_on_read then Control.abort_tx Control.Read_too_new;
-        let now = Clock.now () in
-        (* Interval extension moves [rv], so the full set must revalidate:
-           the suffix-only scan is sound only while [rv] is unchanged. *)
-        let ok = Rwsets.Rset.validate ctx.rset ~owner:ctx.tx_id in
-        if Stats.detailed_enabled () then
-          Stats.record_validation_len stats (Rwsets.Rset.last_scan ctx.rset);
-        if ok then ctx.rv <- now else Control.abort_tx Control.Read_too_new
+        extend ctx
       end;
       let pe = Tvar.id tv in
-      Txrec.acquire ctx.rec_state ~pe;
+      Txrec.acquire ctx.root.rec_state ~pe;
       Rwsets.Rset.push ctx.rset
         { Rwsets.r_lock = tv.Tvar.lock; r_seen = s; r_pe = pe };
-      (* Sanitizer strict-opacity mode: revalidate at every tracked read so
-         an inconsistent snapshot aborts here, at the read that would
-         observe it, instead of at commit.  [rv] is unchanged since the
-         last successful validation, so only the unvalidated suffix needs
-         checking — the watermarked prefix still forms an rv-snapshot. *)
-      if !Runtime.sanitizer then
-        Sanitizer.on_tx_read ~validate:(fun () ->
-            let ok = Rwsets.Rset.validate_new ctx.rset ~owner:ctx.tx_id in
-            if Stats.detailed_enabled () then
-              Stats.record_validation_len stats
-                (Rwsets.Rset.last_scan ctx.rset);
-            ok);
-      Txrec.read ctx.rec_state ~tx:ctx.cur_tx ~pe ~repr:(Recorder.repr_of_value v);
+      if !Runtime.sanitizer then check_read ctx;
+      Txrec.read ctx.root.rec_state ~tx:ctx.cur_tx ~pe v;
       v
 
   (* Eager lock acquisition with the two-phase contention manager: priority
      transactions retry the lock a bounded number of times. *)
   let acquire_write_lock ctx tv =
     let spins =
-      if Rwsets.Wset.size ctx.wset >= P.priority_threshold then P.priority_spin
+      if Rwsets.Wset.size ctx.root.wset >= P.priority_threshold then
+        P.priority_spin
       else 0
     in
     let rec go n =
       if
-        (Rwsets.Wset.lock_one ctx.wset tv
-           ~owner:ctx.tx_id
+        (Rwsets.Wset.lock_one ctx.root.wset tv
+           ~owner:ctx.root.owner
          [@txlint.allow "lock-release"
              "encounter-time locks join the wset; commit releases them \
               on every path (install, abort-restore, crash-forget)"])
@@ -148,145 +135,29 @@ module Make (P : POLICY) :
    fun ctx tv v ->
     Runtime.schedule_point_on (Runtime.Write (Tvar.id tv));
     let pe = Tvar.id tv in
-    let first = Rwsets.Wset.add ctx.wset tv v in
+    let first = Rwsets.Wset.add ctx.root.wset tv v in
     if first then begin
-      Txrec.acquire ctx.rec_state ~pe;
+      Txrec.acquire ctx.root.rec_state ~pe;
       if P.eager_write_lock then acquire_write_lock ctx tv
     end;
-    Txrec.write ctx.rec_state ~tx:ctx.cur_tx ~pe ~repr:(Recorder.repr_of_value v)
-
-  let commit ctx =
-    Runtime.schedule_point ();
-    (* Serial-irrevocable gate (see Retry_loop): abort rather than block so
-       any locks this transaction holds are released for the token holder. *)
-    if not (Runtime.Serial.commit_allowed ()) then
-      Control.abort_tx Control.Killed;
-    if !Runtime.recovery then Recovery.check_poisoned ();
-    if not (Rwsets.Wset.is_empty ctx.wset) then begin
-      if not (Rwsets.Wset.lock_all ctx.wset ~owner:ctx.tx_id) then
-        Control.abort_tx Control.Lock_contention;
-      (* The locks are held, so [max_version] is stable: it is the GV5
-         floor keeping write versions strictly above anything already
-         installed at these locations (GV1/GV4 never consult it). *)
-      let wv =
-        Clock.tick ~floor:(fun () -> Rwsets.Wset.max_version ctx.wset) ()
-      in
-      (* Commit decides against [wv], not the old [rv] — a full scan. *)
-      let ok = Rwsets.Rset.validate ctx.rset ~owner:ctx.tx_id in
-      if Stats.detailed_enabled () then
-        Stats.record_validation_len stats (Rwsets.Rset.last_scan ctx.rset);
-      if not ok then begin
-        Rwsets.Wset.unlock_all_restore ctx.wset;
-        Control.abort_tx Control.Validation_failed
-      end;
-      if !Runtime.sanitizer then
-        Sanitizer.on_commit ~owner:ctx.tx_id ~wv (fun f ->
-            Rwsets.Rset.iter f ctx.rset);
-      (* Last poison check while the locks are still held: a doomed victim
-         must abort here, before installing over a stolen lock.  (The
-         abort releases cleanly: CAS-based unlocks skip stolen entries.) *)
-      if !Runtime.recovery then begin
-        try Recovery.check_poisoned ()
-        with e ->
-          Rwsets.Wset.unlock_all_restore ctx.wset;
-          raise e
-      end;
-      Rwsets.Wset.install_and_unlock ctx.wset ~wv;
-      (* Post-install: stage the durable entries for the WAL.  Retry_loop
-         fires the record once this attempt's outcome is a definitive
-         commit, and discards it if anything below still aborts. *)
-      if !Runtime.durability then
-        Durable.stage ~wv (Rwsets.Wset.capture_durable ctx.wset)
-    end;
-    Txrec.commit_tx ctx.rec_state ~tx:ctx.tx_id;
-    Txrec.release_remaining ctx.rec_state
+    Txrec.write ctx.root.rec_state ~tx:ctx.cur_tx ~pe v
 
   let run_nested ctx f =
     let tx = Runtime.fresh_tx_id () in
     let saved = ctx.cur_tx in
-    Txrec.begin_tx ctx.rec_state ~tx;
+    Txrec.begin_tx ctx.root.rec_state ~tx;
     ctx.cur_tx <- tx;
     let result = f ctx in
     (* Flat nesting: the child's protected set simply stays in the parent's
        read/write sets — outheritance by construction. *)
-    Txrec.commit_tx ctx.rec_state ~tx;
+    Txrec.commit_tx ctx.root.rec_state ~tx;
     ctx.cur_tx <- saved;
     result
 
-  (* Per-domain scratch sets, reused across every toplevel transaction the
-     domain runs: retries stop re-growing the backing stores from their
-     initial capacity, which dominates read-heavy workloads.  [Vec.clear]
-     wipes freed slots to the dummy, so reuse does not pin dead tvars.
-     Under the deterministic scheduler one domain multiplexes many logical
-     processes that must not share mutable state, so simulated runs
-     allocate fresh sets per transaction instead. *)
-  type scratch = { s_rset : Rwsets.Rset.t; s_wset : Rwsets.Wset.t }
-
-  let scratch : scratch Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        { s_rset = Rwsets.Rset.create (); s_wset = Rwsets.Wset.create () })
-
-  let fresh_sets () =
-    if !Runtime.simulated then
-      (Rwsets.Rset.create (), Rwsets.Wset.create ())
-    else begin
-      let s = Domain.DLS.get scratch in
-      Rwsets.Rset.clear s.s_rset;
-      Rwsets.Wset.clear s.s_wset;
-      (s.s_rset, s.s_wset)
-    end
-
-  let run_toplevel f =
-    Retry_loop.run ~stats (fun ~attempt:_ ->
-        let tx_id = Runtime.fresh_tx_id () in
-        let rset, wset = fresh_sets () in
-        let ctx =
-          { tx_id; cur_tx = tx_id; rv = Clock.now (); rset; wset;
-            rec_state = Txrec.create () }
-        in
-        Domain.DLS.set current (Some ctx);
-        if !Runtime.recovery then Registry.publish ~owner:tx_id;
-        if !Runtime.sanitizer then Sanitizer.tx_begin ~owner:tx_id;
-        Txrec.begin_tx ctx.rec_state ~tx:ctx.tx_id;
-        (* The commit itself can abort, so it must run inside the cleanup
-           handler, not in the success branch of a match on [f ctx]. *)
-        try
-          let result = f ctx in
-          (commit ctx
-           [@txlint.allow "tx-escape"
-               "the engine's attempt thunk commits here: installing the \
-                write set via unsafe_write under the write locks is the \
-                one sanctioned escape"]);
-          if Stats.detailed_enabled () then
-            Stats.record_rwset_sizes stats ~reads:(Rwsets.Rset.length ctx.rset)
-              ~writes:(Rwsets.Wset.size ctx.wset);
-          if !Runtime.sanitizer then Sanitizer.tx_end ~owner:tx_id;
-          if !Runtime.recovery then Registry.clear ();
-          Domain.DLS.set current None;
-          result
-        with
-        | Control.Crashed as e ->
-          (* Simulated domain death: leave every held lock locked (that is
-             the point — recovery must reclaim them), but detach the
-             scratch sets and mark the registry slot dead so contenders
-             see a legitimate victim. *)
-          Rwsets.Wset.forget_locks ctx.wset;
-          if !Runtime.recovery then Registry.mark_crashed ();
-          if !Runtime.sanitizer then Sanitizer.tx_crashed ~owner:tx_id;
-          Domain.DLS.set current None;
-          raise e
-        | e ->
-          Rwsets.Wset.unlock_all_restore ctx.wset;
-          Txrec.abort_open ctx.rec_state;
-          if !Runtime.sanitizer then Sanitizer.tx_end ~owner:tx_id;
-          if !Runtime.recovery then Registry.clear ();
-          Domain.DLS.set current None;
-          raise e)
-
   let atomic ?mode:_ f =
-    match Domain.DLS.get current with
+    match current () with
     | Some ctx -> run_nested ctx f
-    | None -> run_toplevel f
+    | None -> run_toplevel Stm_intf.Regular f
 end
 
 (** TL2 (Dice, Shalev, Shavit — DISC'06): commit-time locking, no interval

@@ -87,11 +87,6 @@ let by_proc h p =
            | Some tx -> proc_of_tx h tx = p
            | None -> false))
 
-(** Operation events on object [o]. *)
-let ops_on h o =
-  Array.to_list h
-  |> List.filter (function Op { obj; _ } -> obj = o | _ -> false)
-
 let objects h =
   Array.to_list h
   |> List.filter_map (function Op { obj; _ } -> Some obj | _ -> None)

@@ -55,9 +55,6 @@ val by_proc : t -> int -> Event.t list
 (** [H|p]: events involving process [p], operations attributed through
     their transaction. *)
 
-val ops_on : t -> int -> Event.t list
-(** Operation events on one object. *)
-
 val objects : t -> int list
 (** Objects that appear in operation events, ascending. *)
 

@@ -61,20 +61,10 @@ end
 module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
   let name = C.name
 
-  type 'a tvar = 'a Tvar.t
-
-  (* State shared by every nesting level of one top-level attempt. *)
-  type root = {
-    root_tx : int;           (* lock owner id for this attempt *)
-    wset : Rwsets.Wset.t;    (* shared: children's writes stay pending *)
-    mutable rv : int;        (* snapshot validity watermark *)
-    rec_state : Txrec.t option;
-  }
-
   type ctx = {
     tx_id : int;
     mode : Stm_intf.mode;
-    root : root;
+    root : Frame_intf.root;  (* children's writes stay pending there *)
     parent : ctx option;
     rset_snap : Rwsets.Rset.t;
         (* reads validated against [rv] when made (regular mode and
@@ -92,26 +82,6 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
 
   let stats = Stats.create ()
 
-  let current : ctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-  let () =
-    Runtime.register_tls
-      ~save:(fun () -> Obj.repr (Domain.DLS.get current))
-      ~restore:(fun o -> Domain.DLS.set current (Obj.obj o : ctx option))
-
-  let tvar = Tvar.make
-  let peek = Tvar.peek
-  [@@txlint.allow "stm-escape"
-       "re-export of the quiescent escape hatch; callers are linted at \
-        their own sites"]
-
-  let unsafe_write = Tvar.unsafe_write
-  [@@txlint.allow "stm-escape"
-       "re-export of the quiescent escape hatch; callers are linted at \
-        their own sites"]
-  let tvar_id = Tvar.id
-  let in_transaction () = Option.is_some (Domain.DLS.get current)
-
   let entry_valid ~owner = function
     | None -> true
     | Some e -> Rwsets.rentry_valid ~owner e
@@ -119,13 +89,16 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
   let window_valid ~owner ctx =
     entry_valid ~owner ctx.w0 && entry_valid ~owner ctx.w1
 
+  let validate_level ~owner ctx =
+    Rwsets.Rset.validate ctx.rset_snap ~owner
+    && Rwsets.Rset.validate ctx.rset_prot ~owner
+    && window_valid ~owner ctx
+
   (* Every tracked observation of this level and its ancestors is still
      valid.  Committed children have already merged their sets into their
      parent, so walking the parent chain covers the whole transaction. *)
   let rec validate_levels ~owner ctx =
-    Rwsets.Rset.validate ctx.rset_snap ~owner
-    && Rwsets.Rset.validate ctx.rset_prot ~owner
-    && window_valid ~owner ctx
+    validate_level ~owner ctx
     && (match ctx.parent with None -> true | Some p -> validate_levels ~owner p)
 
   let rec validate_protected ~owner ctx =
@@ -159,12 +132,54 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
         (Rwsets.Rset.last_scan ctx.rset_snap
         + Rwsets.Rset.last_scan ctx.rset_prot)
 
-  let extend_or_abort ctx =
-    let owner = ctx.root.root_tx in
-    let now = Clock.now () in
-    let ok = validate_levels ~owner ctx in
-    record_scan ctx;
-    if ok then ctx.root.rv <- now else Control.abort_tx Control.Read_too_new
+  (* Every tracked read of this level and its ancestors, for the
+     sanitizer's commit check. *)
+  let rec iter_levels level f =
+    Rwsets.Rset.iter f level.rset_snap;
+    Rwsets.Rset.iter f level.rset_prot;
+    Option.iter f level.w0;
+    Option.iter f level.w1;
+    match level.parent with None -> () | Some p -> iter_levels p f
+
+  include Frame.Make_tvar (struct
+    type nonrec ctx = ctx
+
+    let stats = stats
+
+    let start mode (root : Frame_intf.root) (s : Frame_intf.sets) =
+      { tx_id = root.owner; mode; root; parent = None; rset_snap = s.rset;
+        rset_prot = s.prot; w0 = None; w1 = None; written = false }
+
+    let root ctx = ctx.root
+
+    let validate ctx =
+      let ok = validate_levels ~owner:ctx.root.owner ctx in
+      record_scan ctx;
+      ok
+
+    let validate_new ctx =
+      let ok = validate_levels_new ~owner:ctx.root.owner ctx in
+      record_scan ctx;
+      ok
+
+    (* Read-only.  A lone elastic transaction needs no commit validation
+       (it serialised at its last read); only outherited protected sets
+       must still hold, so that composed children appear adjacent. *)
+    let validate_read_only ctx =
+      protected_is_empty ctx
+      || validate_protected ~owner:ctx.root.owner ctx
+
+    let iter_reads = iter_levels
+
+    (* Committed children have merged their sets into the root, so the
+       root's sets are the whole transaction's footprint.  The elastic
+       window holds at most two more tracked reads. *)
+    let reads ctx =
+      Rwsets.Rset.length ctx.rset_snap
+      + Rwsets.Rset.length ctx.rset_prot
+      + (match ctx.w0 with Some _ -> 1 | None -> 0)
+      + match ctx.w1 with Some _ -> 1 | None -> 0
+  end)
 
   let read : type a. ctx -> a tvar -> a =
    fun ctx tv ->
@@ -172,20 +187,18 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
     match Rwsets.Wset.find ctx.root.wset tv with
     | Some v ->
       if Stats.detailed_enabled () then Stats.record_read_ws_hit stats;
-      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe:(Tvar.id tv)
-        ~repr:(Recorder.repr_of_value v);
+      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe:(Tvar.id tv) v;
       v
     | None ->
       if Stats.detailed_enabled () then Stats.record_read_ws_miss stats;
       let s, v = Tvar.read_consistent tv in
       let pe = Tvar.id tv in
       let entry = { Rwsets.r_lock = tv.Tvar.lock; r_seen = s; r_pe = pe } in
-      let owner = ctx.root.root_tx in
       if ctx.mode = Elastic && not ctx.written then begin
         (* Elastic prefix: the new read must be mutually atomic with the
            reads still in the window; anything older is forgotten (the
            relaxation). *)
-        if not (window_valid ~owner ctx) then
+        if not (window_valid ~owner:ctx.root.owner ctx) then
           Control.abort_tx Control.Window_invalid;
         Txrec.acquire ctx.root.rec_state ~pe;
         if keep_two then begin
@@ -203,40 +216,32 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
         ctx.w0 <- Some entry
       end
       else begin
-        if Vlock.version_of s > ctx.root.rv then extend_or_abort ctx;
+        if Vlock.version_of s > ctx.root.rv then extend ctx;
         Txrec.acquire ctx.root.rec_state ~pe;
         Rwsets.Rset.push ctx.rset_snap entry
       end;
-      (* Sanitizer strict-opacity mode: revalidate everything this
-         transaction still tracks (window included) at every read, so
-         inconsistent snapshots abort here rather than at commit.  [rv] is
-         unchanged since the last success, so the suffix scan suffices. *)
-      if !Runtime.sanitizer then
-        Sanitizer.on_tx_read ~validate:(fun () ->
-            let ok = validate_levels_new ~owner ctx in
-            record_scan ctx;
-            ok);
-      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe
-        ~repr:(Recorder.repr_of_value v);
+      (* In sanitizer mode the window is revalidated too. *)
+      if !Runtime.sanitizer then check_read ctx;
+      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe v;
       v
+
+  (* From the first write on, the window's reads belong to the minimal
+     protected set (Section V: Pmin = {r_k, ..., r_n}). *)
+  let promote_window ctx =
+    ctx.written <- true;
+    Option.iter (Rwsets.Rset.push ctx.rset_prot) ctx.w1;
+    Option.iter (Rwsets.Rset.push ctx.rset_prot) ctx.w0;
+    ctx.w0 <- None;
+    ctx.w1 <- None
 
   let write : type a. ctx -> a tvar -> a -> unit =
    fun ctx tv v ->
     Runtime.schedule_point_on (Runtime.Write (Tvar.id tv));
     let pe = Tvar.id tv in
-    if not ctx.written then begin
-      ctx.written <- true;
-      (* Promote the window: from the first write on its reads belong to
-         the minimal protected set (Section V: Pmin = {r_k, ..., r_n}). *)
-      Option.iter (Rwsets.Rset.push ctx.rset_prot) ctx.w1;
-      Option.iter (Rwsets.Rset.push ctx.rset_prot) ctx.w0;
-      ctx.w0 <- None;
-      ctx.w1 <- None
-    end;
+    if not ctx.written then promote_window ctx;
     let first = Rwsets.Wset.add ctx.root.wset tv v in
     if first then Txrec.acquire ctx.root.rec_state ~pe;
-    Txrec.write ctx.root.rec_state ~tx:ctx.tx_id ~pe
-      ~repr:(Recorder.repr_of_value v)
+    Txrec.write ctx.root.rec_state ~tx:ctx.tx_id ~pe v
 
   (* DSTM-style early release (Section II.A of the paper: "the protection
      element is released when the release operation of the transactional
@@ -277,13 +282,8 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
     match C.nesting with
     | Outherit -> ()
     | Drop ->
-      let owner = child.root.root_tx in
-      if
-        not
-          (Rwsets.Rset.validate child.rset_snap ~owner
-          && Rwsets.Rset.validate child.rset_prot ~owner
-          && window_valid ~owner child)
-      then Control.abort_tx Control.Validation_failed
+      if not (validate_level ~owner:child.root.owner child) then
+        Control.abort_tx Control.Validation_failed
 
   (* Child commit, part 2 (after the commit event): outherit the protected
      set to the parent, or drop it (releasing the protection elements — the
@@ -295,13 +295,7 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
       Rwsets.Rset.append_into ~src:child.rset_prot ~dst:parent.rset_prot;
       Option.iter (Rwsets.Rset.push parent.rset_prot) child.w1;
       Option.iter (Rwsets.Rset.push parent.rset_prot) child.w0;
-      if child.written && not parent.written then begin
-        parent.written <- true;
-        Option.iter (Rwsets.Rset.push parent.rset_prot) parent.w1;
-        Option.iter (Rwsets.Rset.push parent.rset_prot) parent.w0;
-        parent.w0 <- None;
-        parent.w1 <- None
-      end
+      if child.written && not parent.written then promote_window parent
     | Drop ->
       let release (e : Rwsets.rentry) =
         Txrec.release child.root.rec_state ~pe:e.Rwsets.r_pe
@@ -311,62 +305,6 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
       Option.iter release child.w1;
       Option.iter release child.w0
 
-  let commit_root ctx =
-    Runtime.schedule_point ();
-    (* Serial-irrevocable gate: while another process holds the fallback
-       token, no one else may commit.  Abort (not block): blocking here
-       would keep our write locks held and deadlock the token holder. *)
-    if not (Runtime.Serial.commit_allowed ()) then
-      Control.abort_tx Control.Killed;
-    if !Runtime.recovery then Recovery.check_poisoned ();
-    let owner = ctx.root.root_tx in
-    if Rwsets.Wset.is_empty ctx.root.wset then begin
-      (* Read-only.  A lone elastic transaction needs no commit validation
-         (it serialised at its last read); only outherited protected sets
-         must still hold, so that composed children appear adjacent. *)
-      if not (protected_is_empty ctx) && not (validate_protected ~owner ctx)
-      then Control.abort_tx Control.Validation_failed
-    end
-    else begin
-      if not (Rwsets.Wset.lock_all ctx.root.wset ~owner) then
-        Control.abort_tx Control.Lock_contention;
-      let wv =
-        Clock.tick ~floor:(fun () -> Rwsets.Wset.max_version ctx.root.wset) ()
-      in
-      let ok = validate_levels ~owner ctx in
-      record_scan ctx;
-      if not ok then begin
-        Rwsets.Wset.unlock_all_restore ctx.root.wset;
-        Control.abort_tx Control.Validation_failed
-      end;
-      if !Runtime.sanitizer then begin
-        let rec iter_levels f level =
-          Rwsets.Rset.iter f level.rset_snap;
-          Rwsets.Rset.iter f level.rset_prot;
-          Option.iter f level.w0;
-          Option.iter f level.w1;
-          match level.parent with None -> () | Some p -> iter_levels f p
-        in
-        Sanitizer.on_commit ~owner ~wv (fun f -> iter_levels f ctx)
-      end;
-      (* Last poison check while the locks are still held: a doomed victim
-         must abort here, before installing over a stolen lock. *)
-      if !Runtime.recovery then begin
-        try Recovery.check_poisoned ()
-        with e ->
-          Rwsets.Wset.unlock_all_restore ctx.root.wset;
-          raise e
-      end;
-      Rwsets.Wset.install_and_unlock ctx.root.wset ~wv;
-      (* Post-install: stage the durable entries for the WAL.  Retry_loop
-         fires the record once this attempt's outcome is a definitive
-         commit, and discards it if anything below still aborts. *)
-      if !Runtime.durability then
-        Durable.stage ~wv (Rwsets.Wset.capture_durable ctx.root.wset)
-    end;
-    Txrec.commit_tx ctx.root.rec_state ~tx:ctx.tx_id;
-    Txrec.release_remaining ctx.root.rec_state
-
   let run_nested parent mode f =
     let child =
       { tx_id = Runtime.fresh_tx_id (); mode; root = parent.root;
@@ -375,108 +313,14 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
         written = false }
     in
     Txrec.begin_tx child.root.rec_state ~tx:child.tx_id;
-    Domain.DLS.set current (Some child);
-    match f child with
-    | result ->
-      validate_child child;
-      Txrec.commit_tx child.root.rec_state ~tx:child.tx_id;
-      close_child ~parent child;
-      Domain.DLS.set current (Some parent);
-      result
-    | exception e ->
-      (* Aborts unwind to the top-level retry loop (flat nesting). *)
-      Domain.DLS.set current (Some parent);
-      raise e
-
-  (* Per-domain scratch sets reused across toplevel transactions (nested
-     levels still allocate fresh per-level sets — they are short-lived and
-     merged away at child commit).  Simulated runs allocate fresh sets:
-     one domain multiplexes many logical processes there, which must not
-     share mutable state. *)
-  type scratch = {
-    s_wset : Rwsets.Wset.t;
-    s_snap : Rwsets.Rset.t;
-    s_prot : Rwsets.Rset.t;
-  }
-
-  let scratch : scratch Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        { s_wset = Rwsets.Wset.create (); s_snap = Rwsets.Rset.create ();
-          s_prot = Rwsets.Rset.create () })
-
-  let fresh_sets () =
-    if !Runtime.simulated then
-      (Rwsets.Wset.create (), Rwsets.Rset.create (), Rwsets.Rset.create ())
-    else begin
-      let s = Domain.DLS.get scratch in
-      Rwsets.Wset.clear s.s_wset;
-      Rwsets.Rset.clear s.s_snap;
-      Rwsets.Rset.clear s.s_prot;
-      (s.s_wset, s.s_snap, s.s_prot)
-    end
-
-  let run_toplevel mode f =
-    Retry_loop.run ~stats (fun ~attempt:_ ->
-        let root_tx = Runtime.fresh_tx_id () in
-        let wset, rset_snap, rset_prot = fresh_sets () in
-        let root =
-          { root_tx; wset; rv = Clock.now (); rec_state = Txrec.create () }
-        in
-        let ctx =
-          { tx_id = root_tx; mode; root; parent = None; rset_snap; rset_prot;
-            w0 = None; w1 = None; written = false }
-        in
-        Domain.DLS.set current (Some ctx);
-        if !Runtime.recovery then Registry.publish ~owner:root_tx;
-        if !Runtime.sanitizer then Sanitizer.tx_begin ~owner:root_tx;
-        Txrec.begin_tx root.rec_state ~tx:root_tx;
-        (* The commit itself can abort, so it must run inside the cleanup
-           handler, not in the success branch of a match on [f ctx]. *)
-        try
-          let result = f ctx in
-          (commit_root ctx
-           [@txlint.allow "tx-escape"
-               "the engine's attempt thunk commits here: installing the \
-                write set via unsafe_write under the write locks is the \
-                one sanctioned escape"]);
-          if Stats.detailed_enabled () then begin
-            (* Committed children have merged their sets into the root, so
-               the root's sets are the whole transaction's footprint.  The
-               elastic window holds at most two more tracked reads. *)
-            let window =
-              (match ctx.w0 with Some _ -> 1 | None -> 0)
-              + match ctx.w1 with Some _ -> 1 | None -> 0
-            in
-            Stats.record_rwset_sizes stats
-              ~reads:
-                (Rwsets.Rset.length ctx.rset_snap
-                + Rwsets.Rset.length ctx.rset_prot
-                + window)
-              ~writes:(Rwsets.Wset.size root.wset)
-          end;
-          if !Runtime.sanitizer then Sanitizer.tx_end ~owner:root_tx;
-          if !Runtime.recovery then Registry.clear ();
-          Domain.DLS.set current None;
-          result
-        with
-        | Control.Crashed as e ->
-          (* Simulated domain death: leave held locks for recovery to
-             reclaim; mark the registry slot dead. *)
-          Rwsets.Wset.forget_locks root.wset;
-          if !Runtime.recovery then Registry.mark_crashed ();
-          if !Runtime.sanitizer then Sanitizer.tx_crashed ~owner:root_tx;
-          Domain.DLS.set current None;
-          raise e
-        | e ->
-          Rwsets.Wset.unlock_all_restore root.wset;
-          Txrec.abort_open root.rec_state;
-          if !Runtime.sanitizer then Sanitizer.tx_end ~owner:root_tx;
-          if !Runtime.recovery then Registry.clear ();
-          Domain.DLS.set current None;
-          raise e)
+    let result = nest ~parent child f in
+    validate_child child;
+    Txrec.commit_tx child.root.rec_state ~tx:child.tx_id;
+    close_child ~parent child;
+    result
 
   let atomic ?(mode = Stm_intf.Regular) f =
-    match Domain.DLS.get current with
+    match current () with
     | Some parent -> run_nested parent mode f
     | None -> run_toplevel mode f
 end

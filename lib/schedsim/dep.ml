@@ -16,29 +16,25 @@ let empty : t = [||]
 
 let is_empty (t : t) = Array.length t = 0
 
+(* Steps record a handful of accesses, so an insertion into a sorted list
+   beats a general sort. *)
 let of_accesses accs : t =
-  let raw =
-    List.filter_map
-      (function
-        | Runtime.Pure -> None
-        | Runtime.Read pe -> Some { loc = pe; stores = false }
-        | Runtime.Write pe | Runtime.Lock pe -> Some { loc = pe; stores = true })
-      accs
+  let rec insert loc stores = function
+    | [] -> [ { loc; stores } ]
+    | e :: rest as l ->
+      if loc < e.loc then { loc; stores } :: l
+      else if loc = e.loc then
+        if stores && not e.stores then { loc; stores } :: rest else l
+      else e :: insert loc stores rest
   in
-  match raw with
+  let add l = function
+    | Runtime.Pure -> l
+    | Runtime.Read pe -> insert pe false l
+    | Runtime.Write pe | Runtime.Lock pe -> insert pe true l
+  in
+  match List.fold_left add [] accs with
   | [] -> empty
-  | raw ->
-    let sorted = List.sort (fun a b -> compare a.loc b.loc) raw in
-    let dedup =
-      List.fold_left
-        (fun out e ->
-          match out with
-          | prev :: rest when prev.loc = e.loc ->
-            { loc = e.loc; stores = prev.stores || e.stores } :: rest
-          | _ -> e :: out)
-        [] sorted
-    in
-    Array.of_list (List.rev dedup)
+  | l -> Array.of_list l
 
 (* Merge walk over the two sorted footprints: dependent iff some common
    location carries a store on either side. *)
@@ -53,6 +49,8 @@ let dependent (a : t) (b : t) =
       else (ea.stores || eb.stores) || go (i + 1) (j + 1)
   in
   go 0 0
+
+let iter f (t : t) = Array.iter (fun e -> f e.loc ~stores:e.stores) t
 
 (* Single-annotation variant, used for documentation and sanity tests:
    matches [dependent] on one-access footprints. *)

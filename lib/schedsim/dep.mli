@@ -28,6 +28,10 @@ val dependent : t -> t -> bool
 (** Whether two steps may fail to commute: some common location with a
     store on at least one side. *)
 
+val iter : (int -> stores:bool -> unit) -> t -> unit
+(** Each location of the footprint once, in increasing order, with whether
+    it was stored to. *)
+
 val dependent_access : Stm_core.Runtime.access -> Stm_core.Runtime.access -> bool
 (** Dependence of two single annotations; agrees with {!dependent} on
     singleton footprints. *)

@@ -160,24 +160,49 @@ let explore_dpor ~max_runs ~max_steps scenario =
           if src.(p) > dst.(p) then dst.(p) <- src.(p)
         done
       in
+      (* Per location, the steps so far that stored to it and those that
+         touched it, latest first.  The steps dependent on j are those
+         touching a location j stores to and those storing to one it reads. *)
+      let by_loc = Hashtbl.create 64 in
       for j = 0 to n - 1 do
         let q = proc_of.(j) in
         let hb = Array.make nprocs 0 in
         if last_of.(q) >= 0 then Array.blit clocks.(last_of.(q)) 0 hb 0 nprocs;
-        (* Backward scan: [hb] accumulates the clocks of every dependent
-           predecessor already passed, so "hb.(p) <= i" at index [i] means
-           no happens-before path from i to j exists through later events —
-           an immediate race. *)
+        let deps = ref [] in
+        Dep.iter
+          (fun loc ~stores ->
+            let stored, touched =
+              Option.value (Hashtbl.find_opt by_loc loc) ~default:([], [])
+            in
+            deps := (if stores then touched else stored) :: !deps;
+            Hashtbl.replace by_loc loc
+              ((if stores then j :: stored else stored), j :: touched))
+          fp.(j);
+        (* Backward scan over the dependent predecessors, latest first: [hb]
+           accumulates their clocks, so "hb.(p) <= i" at index [i] means no
+           happens-before path from i to j exists through later events — an
+           immediate race.  An event with "hb.(p) > i" already happens
+           before j, and [hb] dominates its clock (clocks grow along program
+           order), so it can be neither a race nor add to [hb]: it is
+           skipped, and the scan stops once every other process's events
+           below [i] are in that state. *)
+        let rec unordered_below i p =
+          p < nprocs && ((p <> q && hb.(p) <= i) || unordered_below i (p + 1))
+        in
         let races = ref [] in
-        for i = n - 1 downto 0 do
-          if i < j then begin
+        let rec scan deps =
+          let latest m = function i :: _ -> max m i | [] -> m in
+          let i = List.fold_left latest (-1) deps in
+          if i >= 0 && unordered_below i 0 then begin
             let p = proc_of.(i) in
-            if p <> q && Dep.dependent fp.(i) fp.(j) then begin
-              if hb.(p) <= i then races := i :: !races;
+            if p <> q && hb.(p) <= i then begin
+              races := i :: !races;
               merge hb clocks.(i)
-            end
+            end;
+            scan (List.map (function i' :: l when i' = i -> l | l -> l) deps)
           end
-        done;
+        in
+        scan !deps;
         hb.(q) <- j + 1;
         clocks.(j) <- hb;
         last_of.(q) <- j;

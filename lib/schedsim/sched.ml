@@ -33,6 +33,8 @@ type proc_state = {
   mutable thunk : (unit -> unit) option;  (* [Some] until first activation *)
   mutable cont : (unit, unit) Effect.Deep.continuation option;
   mutable tls : Obj.t array;
+      (* the process's domain-local state while another process owns the
+         domain-local slots *)
   mutable finished : bool;
   mutable failure : exn option;
   mutable pending : Runtime.access;
@@ -53,12 +55,10 @@ let handler st =
           Some
             (fun (k : (a, unit) Effect.Deep.continuation) ->
               st.cont <- Some k;
-              st.pending <- a;
-              st.tls <- Runtime.save_all_tls ())
+              st.pending <- a)
         | _ -> None) }
 
 let activate st =
-  Runtime.restore_all_tls st.tls;
   match (st.cont, st.thunk) with
   | Some k, _ ->
     st.cont <- None;
@@ -93,6 +93,18 @@ let run_guided ?(max_steps = 100_000) ~guide procs =
     |> Array.of_list
   in
   let current = ref (-1) in
+  (* The process whose state the domain-local slots hold (-1: the caller's).
+     A process keeps them while it is the one resumed again, so they are
+     swapped only when the scheduler switches processes. *)
+  let tls_owner = ref (-1) in
+  let switch_tls st =
+    if !tls_owner <> st.index then begin
+      if !tls_owner >= 0 then
+        states.(!tls_owner).tls <- Runtime.save_all_tls ();
+      Runtime.restore_all_tls st.tls;
+      tls_owner := st.index
+    end
+  in
   let saved_yield = !Runtime.yield_hook in
   let saved_proc = !Runtime.proc_hook in
   let saved_simulated = !Runtime.simulated in
@@ -165,6 +177,7 @@ let run_guided ?(max_steps = 100_000) ~guide procs =
               step's footprint; tracing fills in the rest dynamically. *)
            acc := [ st.pending ];
            st.pending <- Runtime.Pure;
+           switch_tls st;
            activate st;
            current := -1;
            loop ()

@@ -143,13 +143,15 @@ let try_steal_owner ~holder ~pe =
             | (Registry.Stale | Registry.Dead) as st ->
               if st = Registry.Stale then Stats.record_lease_expiry ();
               ignore (Registry.doom ~owner:victim);
-              let stolen = Atomic.compare_and_set holder victim (-1) in
-              if stolen then begin
-                Stats.record_orphan_steal ();
+              let cas () = Atomic.compare_and_set holder victim (-1) in
+              let stolen =
                 if !Runtime.sanitizer then
-                  Runtime.sanitizer_event
+                  Runtime.sanitized_transition
                     (Runtime.San_steal { pe; victim; version = None })
-              end;
+                    cas
+                else cas ()
+              in
+              if stolen then Stats.record_orphan_steal ();
               stolen
           end
      end

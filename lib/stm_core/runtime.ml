@@ -10,14 +10,6 @@ type access =
 
 let clock_pe = -1
 
-let pp_access ppf = function
-  | Pure -> Format.fprintf ppf "pure"
-  | Read pe when pe = clock_pe -> Format.fprintf ppf "R(clock)"
-  | Write pe when pe = clock_pe -> Format.fprintf ppf "W(clock)"
-  | Read pe -> Format.fprintf ppf "R(%d)" pe
-  | Write pe -> Format.fprintf ppf "W(%d)" pe
-  | Lock pe -> Format.fprintf ppf "L(%d)" pe
-
 let proc_hook = ref (fun () -> (Domain.self () :> int))
 let current_proc () = !proc_hook ()
 
@@ -90,8 +82,11 @@ type san_event =
           abstract lock or the serial token *)
 
 let sanitizer = ref false
-let sanitizer_hook : (san_event -> unit) ref = ref (fun _ -> ())
-let sanitizer_event e = !sanitizer_hook e
+let sanitizer_hook : (san_event -> (unit -> bool) -> bool) ref =
+  ref (fun _ cas -> cas ())
+
+let sanitized_transition e cas = !sanitizer_hook e cas
+let sanitizer_event e = ignore (!sanitizer_hook e (fun () -> true))
 
 (* Global-clock policy (see [Clock]).  Lives here, below the clock module
    itself, so that engines and the sanitizer can branch on the policy

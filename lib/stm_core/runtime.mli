@@ -23,8 +23,6 @@ type access =
 val clock_pe : int
 (** Reserved protection-element id of the global version clock. *)
 
-val pp_access : Format.formatter -> access -> unit
-
 val proc_hook : (unit -> int) ref
 (** Returns the id of the current logical process.  Default: domain id. *)
 
@@ -113,12 +111,20 @@ val sanitizer : bool ref
     Instrumented sites consult it before building an event, so the
     uninstrumented hot path pays one load and branch and no allocation. *)
 
-val sanitizer_hook : (san_event -> unit) ref
-(** The handler {!Sanitizer} installs; default no-op. *)
+val sanitizer_hook : (san_event -> (unit -> bool) -> bool) ref
+(** The handler {!Sanitizer} installs; the default runs the transition and
+    reports nothing. *)
 
 val sanitizer_event : san_event -> unit
 (** Report one event to the sanitizer hook.  Callers are expected to check
     {!sanitizer} first. *)
+
+val sanitized_transition : san_event -> (unit -> bool) -> bool
+(** [sanitized_transition e cas] runs the CAS [cas] that releases or steals
+    a lock and reports [e] if it succeeds, with no other sanitizer event in
+    between: the lock's next acquirer, which can only win its CAS after
+    [cas], is always reported after [e].  Callers check {!sanitizer}
+    first. *)
 
 (** Which global-version-clock algorithm {!Clock} runs (named after the
     TL2 implementation's GV1/GV4/GV5 variants):

@@ -55,7 +55,6 @@ module Rset = struct
 
   let push t e = Vec.push t.entries e
   let iter f t = Vec.iter f t.entries
-  let mem_pe t pe = Vec.exists (fun e -> e.r_pe = pe) t.entries
 
   (* Appending leaves [dst]'s watermark alone: the new entries land in the
      unvalidated suffix, exactly where incremental validation looks. *)
@@ -130,7 +129,6 @@ type wentry =
       -> wentry
 
 let wentry_pe (W e) = e.tv.Tvar.id
-let wentry_lock (W e) = e.tv.Tvar.lock
 
 let dummy_wentry = W { tv = Tvar.make 0; pending = 0; locked = false; w_saved = 0 }
 
@@ -421,12 +419,4 @@ module Wset = struct
         | Some (pid, enc) -> acc := (pid, enc (Obj.repr e.pending)) :: !acc)
       t.entries;
     !acc
-
-  let validate_no_foreign_lock t ~owner =
-    Vec.for_all
-      (fun (W e) ->
-        let lock = e.tv.Tvar.lock in
-        let s = Vlock.stamp lock in
-        (not (Vlock.locked s)) || Vlock.owner lock = owner)
-      t.entries
 end

@@ -59,16 +59,9 @@ module Rset : sig
   val filter_pe : t -> pe:int -> int
   (** Drop every observation of [pe] (elastic early release), adjusting the
       watermark; returns how many entries were dropped. *)
-
-  val mem_pe : t -> int -> bool
 end
 
 (** {1 Write entries} *)
-
-type wentry
-
-val wentry_pe : wentry -> int
-val wentry_lock : wentry -> Vlock.t
 
 (** A write set indexed for O(1) lookup by tvar id: a summary (bloom) word
     answers the common read-of-unwritten-location miss with one load and a
@@ -136,7 +129,4 @@ module Wset : sig
       set touches no persistent tvar.  Call right after
       {!install_and_unlock} (pending values are attempt-private and
       outlive the locks), guarded on [Runtime.durability]. *)
-
-  val validate_no_foreign_lock : t -> owner:int -> bool
-  (** No entry is locked by a transaction other than [owner]. *)
 end

@@ -126,86 +126,85 @@ let record ~kind ~pe ~owner detail =
 (* ------------------------------------------------------------------ *)
 (* Event handler (lock transitions, unsafe stores, peeks)              *)
 
+(* The handlers below assume [m] is held: [handle_event] takes it around
+   each event together with its lock transition. *)
+
 let on_acquire ~pe ~owner ~version =
   Atomic.incr c_lock_transitions;
-  with_m (fun () ->
-      match Hashtbl.find_opt locks pe with
-      | None -> Hashtbl.add locks pe { holder = owner; last_version = version }
-      | Some e ->
-        if e.holder >= 0 then
-          record_locked ~kind:Lock_imbalance ~pe ~owner
-            (Printf.sprintf "acquired by %d while already held by %d" owner
-               e.holder)
-        else if version < e.last_version then
-          record_locked ~kind:Version_regress ~pe ~owner
-            (Printf.sprintf
-               "acquired at version %d after the lock reached version %d"
-               version e.last_version);
-        e.holder <- owner;
-        if version > e.last_version then e.last_version <- version)
+  match Hashtbl.find_opt locks pe with
+  | None -> Hashtbl.add locks pe { holder = owner; last_version = version }
+  | Some e ->
+    if e.holder >= 0 then
+      record_locked ~kind:Lock_imbalance ~pe ~owner
+        (Printf.sprintf "acquired by %d while already held by %d" owner
+           e.holder)
+    else if version < e.last_version then
+      record_locked ~kind:Version_regress ~pe ~owner
+        (Printf.sprintf
+           "acquired at version %d after the lock reached version %d" version
+           e.last_version);
+    e.holder <- owner;
+    if version > e.last_version then e.last_version <- version
 
 let on_release ~pe ~owner ~version =
   Atomic.incr c_lock_transitions;
-  with_m (fun () ->
-      match Hashtbl.find_opt locks pe with
-      | None ->
-        (* Cold start: the lock was acquired before the sanitizer was
-           enabled.  Seed the table instead of flagging. *)
-        Hashtbl.add locks pe
-          { holder = -1; last_version = Option.value version ~default:0 }
-      | Some e ->
-        if e.holder < 0 then
-          record_locked ~kind:Lock_imbalance ~pe ~owner
-            (Printf.sprintf "released by %d while not held" owner)
-        else if e.holder <> owner then
-          record_locked ~kind:Lock_imbalance ~pe ~owner
-            (Printf.sprintf "released by %d while held by %d" owner e.holder);
-        e.holder <- -1;
-        (match version with
-        | None -> ()  (* restore/abstract release: version unchanged *)
-        | Some v ->
-          if v <= e.last_version then
-            record_locked ~kind:Version_regress ~pe ~owner
-              (Printf.sprintf
-                 "unlocked to version %d, not above the last version %d" v
-                 e.last_version)
-          else e.last_version <- v))
+  match Hashtbl.find_opt locks pe with
+  | None ->
+    (* Cold start: the lock was acquired before the sanitizer was enabled.
+       Seed the table instead of flagging. *)
+    Hashtbl.add locks pe
+      { holder = -1; last_version = Option.value version ~default:0 }
+  | Some e ->
+    if e.holder < 0 then
+      record_locked ~kind:Lock_imbalance ~pe ~owner
+        (Printf.sprintf "released by %d while not held" owner)
+    else if e.holder <> owner then
+      record_locked ~kind:Lock_imbalance ~pe ~owner
+        (Printf.sprintf "released by %d while held by %d" owner e.holder);
+    e.holder <- -1;
+    (match version with
+    | None -> ()  (* restore/abstract release: version unchanged *)
+    | Some v ->
+      if v <= e.last_version then
+        record_locked ~kind:Version_regress ~pe ~owner
+          (Printf.sprintf
+             "unlocked to version %d, not above the last version %d" v
+             e.last_version)
+      else e.last_version <- v)
 
 let on_unsafe_write ~pe ~locked_owner =
   Atomic.incr c_unsafe_writes;
-  with_m (fun () ->
-      if Hashtbl.length live > 0 then begin
-        let sanctioned =
-          (* The store is the install phase of a commit: the element's lock
-             is held by a transaction live on this very process. *)
-          match locked_owner with
-          | Some o -> Hashtbl.find_opt live o = Some (Runtime.current_proc ())
-          | None -> false
-        in
-        if not sanctioned then
-          record_locked ~kind:Unsafe_write_race ~pe
-            ~owner:(Option.value locked_owner ~default:(-1))
-            (Printf.sprintf
-               "non-transactional store while %d transaction(s) live and the \
-                lock is %s"
-               (Hashtbl.length live)
-               (match locked_owner with
-               | None -> "not held"
-               | Some o -> Printf.sprintf "held by foreign owner %d" o))
-      end)
+  if Hashtbl.length live > 0 then begin
+    let sanctioned =
+      (* The store is the install phase of a commit: the element's lock is
+         held by a transaction live on this very process. *)
+      match locked_owner with
+      | Some o -> Hashtbl.find_opt live o = Some (Runtime.current_proc ())
+      | None -> false
+    in
+    if not sanctioned then
+      record_locked ~kind:Unsafe_write_race ~pe
+        ~owner:(Option.value locked_owner ~default:(-1))
+        (Printf.sprintf
+           "non-transactional store while %d transaction(s) live and the \
+            lock is %s"
+           (Hashtbl.length live)
+           (match locked_owner with
+           | None -> "not held"
+           | Some o -> Printf.sprintf "held by foreign owner %d" o))
+  end
 
 let on_peek ~pe =
   Atomic.incr c_peeks;
-  with_m (fun () ->
-      let here = Runtime.current_proc () in
-      let foreign =
-        Hashtbl.fold (fun _ proc acc -> acc || proc <> here) live false
-      in
-      if foreign then
-        record_locked ~kind:Peek_escape ~pe ~owner:(-1)
-          (Printf.sprintf
-             "non-transactional read while a transaction is live on another \
-              process"))
+  let here = Runtime.current_proc () in
+  let foreign =
+    Hashtbl.fold (fun _ proc acc -> acc || proc <> here) live false
+  in
+  if foreign then
+    record_locked ~kind:Peek_escape ~pe ~owner:(-1)
+      (Printf.sprintf
+         "non-transactional read while a transaction is live on another \
+          process")
 
 (* A steal is legitimate only against a victim that cannot still be
    running: it crashed (simulated), its registry slot is dead or stale, or
@@ -230,28 +229,39 @@ let on_steal ~pe ~victim ~version =
          | Registry.Live -> false)
       || Registry.owner_doomed ~owner:victim
   in
-  with_m (fun () ->
-      if not victim_gone then
-        record_locked ~kind:Bad_steal ~pe ~owner:victim
-          (Printf.sprintf
-             "lock stolen from owner %d whose registry slot is live" victim);
-      match Hashtbl.find_opt locks pe with
-      | None -> ()
-      | Some e ->
-        e.holder <- -1;
-        (match version with
-        | Some v when v > e.last_version -> e.last_version <- v
-        | _ -> ()))
+  if not victim_gone then
+    record_locked ~kind:Bad_steal ~pe ~owner:victim
+      (Printf.sprintf "lock stolen from owner %d whose registry slot is live"
+         victim);
+  match Hashtbl.find_opt locks pe with
+  | None -> ()
+  | Some e ->
+    e.holder <- -1;
+    (match version with
+    | Some v when v > e.last_version -> e.last_version <- v
+    | _ -> ())
 
-let handle_event e =
-  if active () then
-    match (e : Runtime.san_event) with
-    | Runtime.San_acquire { pe; owner; version } -> on_acquire ~pe ~owner ~version
-    | Runtime.San_release { pe; owner; version } -> on_release ~pe ~owner ~version
-    | Runtime.San_unsafe_write { pe; locked_owner } ->
-      on_unsafe_write ~pe ~locked_owner
-    | Runtime.San_peek { pe } -> on_peek ~pe
-    | Runtime.San_steal { pe; victim; version } -> on_steal ~pe ~victim ~version
+let handle_locked (e : Runtime.san_event) =
+  match e with
+  | Runtime.San_acquire { pe; owner; version } -> on_acquire ~pe ~owner ~version
+  | Runtime.San_release { pe; owner; version } -> on_release ~pe ~owner ~version
+  | Runtime.San_unsafe_write { pe; locked_owner } ->
+    on_unsafe_write ~pe ~locked_owner
+  | Runtime.San_peek { pe } -> on_peek ~pe
+  | Runtime.San_steal { pe; victim; version } -> on_steal ~pe ~victim ~version
+
+(* A release reported after its CAS can reach the table after the next
+   acquirer's event, which then reads as an acquisition of a held lock.
+   Running the CAS under [m] orders the report before any event the CAS
+   enables; a CAS that loses to a steal reports nothing.  Plain events
+   come with a transition that always succeeds. *)
+let handle_event e cas =
+  if not (active ()) then cas ()
+  else
+    with_m (fun () ->
+        let ok = cas () in
+        if ok then handle_locked e;
+        ok)
 
 (* ------------------------------------------------------------------ *)
 (* Engine-facing checks                                                *)

@@ -32,8 +32,11 @@ val release : t option -> pe:int -> unit
 val release_remaining : t option -> unit
 (** Release every hold (used right after the top-level commit). *)
 
-val read : t option -> tx:int -> pe:int -> repr:int -> unit
-val write : t option -> tx:int -> pe:int -> repr:int -> unit
+val read : t option -> tx:int -> pe:int -> 'a -> unit
+(** Record a read of [pe] returning the value; the value is fingerprinted
+    with {!Recorder.repr_of_value} only when recording is enabled. *)
+
+val write : t option -> tx:int -> pe:int -> 'a -> unit
 
 (** {2 Abort generation}
 

@@ -109,64 +109,54 @@ let clear_claim t ~me =
   if Atomic.get t.claim >= 0 then
     ignore (Atomic.compare_and_set t.claim me (-1))
 
-let owner_opt t =
-  let s = Atomic.get t.stamp_cell in
-  if locked s then Some t.owner_id else None
-
 let locked_by t ~owner =
   if !Runtime.tracing then Runtime.trace_access (Runtime.Read t.pe);
   let s = Atomic.get t.stamp_cell in
   locked s && t.owner_id = owner
 
-let unlock_restore t =
+(* [installed]: the release publishes [stamp]'s version (commit) rather
+   than restoring the pre-lock stamp (abort). *)
+let release_event t ~me ~stamp ~installed =
+  Runtime.San_release
+    { pe = t.pe; owner = me;
+      version = (if installed then Some (stamp lsr 1) else None) }
+
+(* Plain release: nobody can steal the lock, so the event simply precedes
+   the store. *)
+let release t ~stamp ~installed =
   if !Runtime.tracing then Runtime.trace_access (Runtime.Lock t.pe);
-  if !Runtime.sanitizer then
-    Runtime.sanitizer_event
-      (Runtime.San_release { pe = t.pe; owner = t.owner_id; version = None });
   let me = t.owner_id in
-  Atomic.set t.stamp_cell t.saved;
+  if !Runtime.sanitizer then
+    Runtime.sanitizer_event (release_event t ~me ~stamp ~installed);
+  Atomic.set t.stamp_cell stamp;
   clear_claim t ~me
 
-let unlock_to t ~version =
-  if !Runtime.tracing then Runtime.trace_access (Runtime.Lock t.pe);
-  if !Runtime.sanitizer then
-    Runtime.sanitizer_event
-      (Runtime.San_release
-         { pe = t.pe; owner = t.owner_id; version = Some version });
-  let me = t.owner_id in
-  Atomic.set t.stamp_cell (version lsl 1);
-  clear_claim t ~me
+let unlock_restore t = release t ~stamp:t.saved ~installed:false
+let unlock_to t ~version = release t ~stamp:(version lsl 1) ~installed:true
 
 (* CAS-based releases, used when recovery may steal the lock out from
    under its owner: the release succeeds only if the stamp is still the
    locked image of [saved], i.e. the lock was not stolen.  ABA is
    impossible because stolen locks transition to a strictly larger
    (poisoned) version and versions never decrease. *)
-let unlock_restore_from t ~saved =
-  if !Runtime.tracing then Runtime.trace_access (Runtime.Lock t.pe);
-  let me = t.owner_id in
-  let released = Atomic.compare_and_set t.stamp_cell (saved lor 1) saved in
-  if released then begin
-    clear_claim t ~me;
-    if !Runtime.sanitizer then
-      Runtime.sanitizer_event
-        (Runtime.San_release { pe = t.pe; owner = me; version = None })
-  end;
-  released
-
-let unlock_to_from t ~saved ~version =
+let release_from t ~saved ~stamp ~installed =
   if !Runtime.tracing then Runtime.trace_access (Runtime.Lock t.pe);
   let me = t.owner_id in
   let released =
-    Atomic.compare_and_set t.stamp_cell (saved lor 1) (version lsl 1)
-  in
-  if released then begin
-    clear_claim t ~me;
     if !Runtime.sanitizer then
-      Runtime.sanitizer_event
-        (Runtime.San_release { pe = t.pe; owner = me; version = Some version })
-  end;
+      Runtime.sanitized_transition
+        (release_event t ~me ~stamp ~installed)
+        (fun () -> Atomic.compare_and_set t.stamp_cell (saved lor 1) stamp)
+    else Atomic.compare_and_set t.stamp_cell (saved lor 1) stamp
+  in
+  if released then clear_claim t ~me;
   released
+
+let unlock_restore_from t ~saved =
+  release_from t ~saved ~stamp:saved ~installed:false
+
+let unlock_to_from t ~saved ~version =
+  release_from t ~saved ~stamp:(version lsl 1) ~installed:true
 
 (* Recovery-only: transition a lock observed locked (stamp = [observed])
    to unlocked poisoned [version].  Two things make the steal sound: the
@@ -187,18 +177,14 @@ let unlock_to_from t ~saved ~version =
    cannot distinguish the two histories. *)
 let steal t ~observed ~victim ~version =
   if !Runtime.tracing then Runtime.trace_access (Runtime.Lock t.pe);
-  if
+  let cas () = Atomic.compare_and_set t.stamp_cell observed (version lsl 1) in
+  let stolen =
     locked observed
-    && Atomic.compare_and_set t.stamp_cell observed (version lsl 1)
-  then begin
-    let displaced = Atomic.exchange t.claim (-1) in
+    &&
     if !Runtime.sanitizer then
-      Runtime.sanitizer_event
-        (Runtime.San_steal { pe = t.pe; victim; version = Some version });
-    Some displaced
-  end
-  else None
-
-let pp ppf t =
-  let s = Atomic.get t.stamp_cell in
-  Format.fprintf ppf "v%d%s" (version_of s) (if locked s then "/locked" else "")
+      Runtime.sanitized_transition
+        (Runtime.San_steal { pe = t.pe; victim; version = Some version })
+        cas
+    else cas ()
+  in
+  if stolen then Some (Atomic.exchange t.claim (-1)) else None

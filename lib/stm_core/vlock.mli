@@ -53,7 +53,7 @@ val owner : t -> int
     re-acquire the lock between the stamp load and this read.  The only
     safe use is self-ownership checks, where staleness is impossible
     because only the caller writes its own id.  Recovery must use
-    {!holder}; anything else should use {!owner_opt}. *)
+    {!holder}. *)
 
 val holder : t -> int
 (** The recovery claim cell: the identity CASed in {e before} the stamp
@@ -65,12 +65,6 @@ val holder : t -> int
     recovery-mode holder: unlocked, a release/steal handover in flight, or
     a lock acquired while recovery was disabled (such locks are not
     reclaimable). *)
-
-val owner_opt : t -> int option
-(** [Some o] when the lock is currently locked with recorded owner [o],
-    [None] on an unlocked stamp.  Rules out the "stale owner field read
-    without first observing a locked stamp" misuse of {!owner}; the same
-    release/re-acquire staleness caveat still applies to [o] itself. *)
 
 val locked_by : t -> owner:int -> bool
 (** [locked_by l ~owner] is true iff [l] is currently locked and the recorded
@@ -106,5 +100,3 @@ val steal : t -> observed:int -> victim:int -> version:int -> int option
     must doom [displaced] as well.  Only {!Recovery.try_steal_vlock} may
     call this, with [victim] read from {!holder} and the victim's registry
     slot already doomed. *)
-
-val pp : Format.formatter -> t -> unit

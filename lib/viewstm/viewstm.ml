@@ -44,43 +44,14 @@ module Make (C : sig
 end) : S with type 'a tvar = 'a Tvar.t = struct
   let name = C.name
 
-  type 'a tvar = 'a Tvar.t
-
-  type root = {
-    root_tx : int;
-    wset : Rwsets.Wset.t;
-    mutable rv : int;
-    rec_state : Txrec.t option;
-  }
-
   type ctx = {
     tx_id : int;
-    root : root;
+    root : Frame_intf.root;
     parent : ctx option;
     view : Rwsets.Rset.t;  (* the critical view = minimal protected set *)
   }
 
   let stats = Stats.create ()
-
-  let current : ctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-  let () =
-    Runtime.register_tls
-      ~save:(fun () -> Obj.repr (Domain.DLS.get current))
-      ~restore:(fun o -> Domain.DLS.set current (Obj.obj o : ctx option))
-
-  let tvar = Tvar.make
-  let peek = Tvar.peek
-  [@@txlint.allow "stm-escape"
-       "re-export of the quiescent escape hatch; callers are linted at \
-        their own sites"]
-
-  let unsafe_write = Tvar.unsafe_write
-  [@@txlint.allow "stm-escape"
-       "re-export of the quiescent escape hatch; callers are linted at \
-        their own sites"]
-  let tvar_id = Tvar.id
-  let in_transaction () = Option.is_some (Domain.DLS.get current)
 
   let rec validate_views ~owner ctx =
     Rwsets.Rset.validate ctx.view ~owner
@@ -101,6 +72,35 @@ end) : S with type 'a tvar = 'a Tvar.t = struct
     if Stats.detailed_enabled () then
       Stats.record_validation_len stats (Rwsets.Rset.last_scan ctx.view)
 
+  let rec iter_views c f =
+    Rwsets.Rset.iter f c.view;
+    match c.parent with None -> () | Some p -> iter_views p f
+
+  include Frame.Make_tvar (struct
+    type nonrec ctx = ctx
+
+    let stats = stats
+
+    let start _ (root : Frame_intf.root) (s : Frame_intf.sets) =
+      { tx_id = root.owner; root; parent = None; view = s.rset }
+
+    let root ctx = ctx.root
+
+    let validate ctx =
+      let ok = validate_views ~owner:ctx.root.owner ctx in
+      record_scan ctx;
+      ok
+
+    let validate_new ctx =
+      let ok = validate_views_new ~owner:ctx.root.owner ctx in
+      record_scan ctx;
+      ok
+
+    let validate_read_only ctx = validate_views ~owner:ctx.root.owner ctx
+    let iter_reads = iter_views
+    let reads ctx = Rwsets.Rset.length ctx.view
+  end)
+
   (* Critical read: consistent now, validated again at commit. *)
   let read : type a. ctx -> a tvar -> a =
    fun ctx tv ->
@@ -108,38 +108,22 @@ end) : S with type 'a tvar = 'a Tvar.t = struct
     match Rwsets.Wset.find ctx.root.wset tv with
     | Some v ->
       if Stats.detailed_enabled () then Stats.record_read_ws_hit stats;
-      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe:(Tvar.id tv)
-        ~repr:(Recorder.repr_of_value v);
+      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe:(Tvar.id tv) v;
       v
     | None ->
       if Stats.detailed_enabled () then Stats.record_read_ws_miss stats;
       let s, v = Tvar.read_consistent tv in
       let pe = Tvar.id tv in
       (* Keep critical reads within a consistent snapshot, extending the
-         validity interval LSA-style when a newer version appears.  Moving
-         [rv] requires the full re-scan. *)
-      if Vlock.version_of s > ctx.root.rv then begin
-        let owner = ctx.root.root_tx in
-        let now = Clock.now () in
-        let ok = validate_views ~owner ctx in
-        record_scan ctx;
-        if ok then ctx.root.rv <- now
-        else Control.abort_tx Control.Read_too_new
-      end;
+         validity interval LSA-style when a newer version appears. *)
+      if Vlock.version_of s > ctx.root.rv then extend ctx;
       Txrec.acquire ctx.root.rec_state ~pe;
       Rwsets.Rset.push ctx.view
         { Rwsets.r_lock = tv.Tvar.lock; r_seen = s; r_pe = pe };
-      (* Sanitizer strict-opacity mode: revalidate the critical views at
-         every critical read.  Weak reads stay unchecked by design — they
-         are the view-transaction relaxation.  [rv] is unchanged since the
-         last success, so the suffix scan suffices. *)
-      if !Runtime.sanitizer then
-        Sanitizer.on_tx_read ~validate:(fun () ->
-            let ok = validate_views_new ~owner:ctx.root.root_tx ctx in
-            record_scan ctx;
-            ok);
-      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe
-        ~repr:(Recorder.repr_of_value v);
+      (* Weak reads stay unchecked by the sanitizer by design — they are
+         the view-transaction relaxation. *)
+      if !Runtime.sanitizer then check_read ctx;
+      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe v;
       v
 
   (* Weak read: consistent at the moment it happens, never revalidated.
@@ -155,8 +139,7 @@ end) : S with type 'a tvar = 'a Tvar.t = struct
       let _, v = Tvar.read_consistent tv in
       let pe = Tvar.id tv in
       Txrec.acquire ctx.root.rec_state ~pe;
-      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe
-        ~repr:(Recorder.repr_of_value v);
+      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe v;
       Txrec.release ctx.root.rec_state ~pe;
       v
 
@@ -166,57 +149,7 @@ end) : S with type 'a tvar = 'a Tvar.t = struct
     let pe = Tvar.id tv in
     let first = Rwsets.Wset.add ctx.root.wset tv v in
     if first then Txrec.acquire ctx.root.rec_state ~pe;
-    Txrec.write ctx.root.rec_state ~tx:ctx.tx_id ~pe
-      ~repr:(Recorder.repr_of_value v)
-
-  let commit_root ctx =
-    Runtime.schedule_point ();
-    (* Serial-irrevocable gate (see Retry_loop): abort rather than block so
-       any locks this transaction holds are released for the token holder. *)
-    if not (Runtime.Serial.commit_allowed ()) then
-      Control.abort_tx Control.Killed;
-    if !Runtime.recovery then Recovery.check_poisoned ();
-    let owner = ctx.root.root_tx in
-    if Rwsets.Wset.is_empty ctx.root.wset then begin
-      if not (validate_views ~owner ctx) then
-        Control.abort_tx Control.Validation_failed
-    end
-    else begin
-      if not (Rwsets.Wset.lock_all ctx.root.wset ~owner) then
-        Control.abort_tx Control.Lock_contention;
-      let wv =
-        Clock.tick ~floor:(fun () -> Rwsets.Wset.max_version ctx.root.wset) ()
-      in
-      let ok = validate_views ~owner ctx in
-      record_scan ctx;
-      if not ok then begin
-        Rwsets.Wset.unlock_all_restore ctx.root.wset;
-        Control.abort_tx Control.Validation_failed
-      end;
-      if !Runtime.sanitizer then begin
-        let rec iter_views f c =
-          Rwsets.Rset.iter f c.view;
-          match c.parent with None -> () | Some p -> iter_views f p
-        in
-        Sanitizer.on_commit ~owner ~wv (fun f -> iter_views f ctx)
-      end;
-      (* Last poison check while the locks are still held: a doomed victim
-         must abort here, before installing over a stolen lock. *)
-      if !Runtime.recovery then begin
-        try Recovery.check_poisoned ()
-        with e ->
-          Rwsets.Wset.unlock_all_restore ctx.root.wset;
-          raise e
-      end;
-      Rwsets.Wset.install_and_unlock ctx.root.wset ~wv;
-      (* Post-install: stage the durable entries for the WAL.  Retry_loop
-         fires the record once this attempt's outcome is a definitive
-         commit, and discards it if anything below still aborts. *)
-      if !Runtime.durability then
-        Durable.stage ~wv (Rwsets.Wset.capture_durable ctx.root.wset)
-    end;
-    Txrec.commit_tx ctx.root.rec_state ~tx:ctx.tx_id;
-    Txrec.release_remaining ctx.root.rec_state
+    Txrec.write ctx.root.rec_state ~tx:ctx.tx_id ~pe v
 
   let run_nested parent f =
     let child =
@@ -224,81 +157,16 @@ end) : S with type 'a tvar = 'a Tvar.t = struct
         parent = Some parent; view = Rwsets.Rset.create () }
     in
     Txrec.begin_tx child.root.rec_state ~tx:child.tx_id;
-    Domain.DLS.set current (Some child);
-    match f child with
-    | result ->
-      Txrec.commit_tx child.root.rec_state ~tx:child.tx_id;
-      (* Outheritance: the child's critical view joins the parent's. *)
-      Rwsets.Rset.append_into ~src:child.view ~dst:parent.view;
-      Domain.DLS.set current (Some parent);
-      result
-    | exception e ->
-      Domain.DLS.set current (Some parent);
-      raise e
-
-  (* Per-domain scratch sets reused across toplevel transactions; nested
-     views stay per-level allocations (merged away at child commit).
-     Simulated runs allocate fresh sets: one domain multiplexes many
-     logical processes there, which must not share mutable state. *)
-  type scratch = { s_wset : Rwsets.Wset.t; s_view : Rwsets.Rset.t }
-
-  let scratch : scratch Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        { s_wset = Rwsets.Wset.create (); s_view = Rwsets.Rset.create () })
-
-  let fresh_sets () =
-    if !Runtime.simulated then (Rwsets.Wset.create (), Rwsets.Rset.create ())
-    else begin
-      let s = Domain.DLS.get scratch in
-      Rwsets.Wset.clear s.s_wset;
-      Rwsets.Rset.clear s.s_view;
-      (s.s_wset, s.s_view)
-    end
-
-  let run_toplevel f =
-    Retry_loop.run ~stats (fun ~attempt:_ ->
-        let root_tx = Runtime.fresh_tx_id () in
-        let wset, view = fresh_sets () in
-        let root =
-          { root_tx; wset; rv = Clock.now (); rec_state = Txrec.create () }
-        in
-        let ctx = { tx_id = root_tx; root; parent = None; view } in
-        Domain.DLS.set current (Some ctx);
-        if !Runtime.recovery then Registry.publish ~owner:root_tx;
-        if !Runtime.sanitizer then Sanitizer.tx_begin ~owner:root_tx;
-        Txrec.begin_tx root.rec_state ~tx:root_tx;
-        try
-          let result = f ctx in
-          (commit_root ctx
-           [@txlint.allow "tx-escape"
-               "the engine's attempt thunk commits here: installing the \
-                write set via unsafe_write under the write locks is the \
-                one sanctioned escape"]);
-          if !Runtime.sanitizer then Sanitizer.tx_end ~owner:root_tx;
-          if !Runtime.recovery then Registry.clear ();
-          Domain.DLS.set current None;
-          result
-        with
-        | Control.Crashed as e ->
-          (* Simulated domain death: leave held locks for recovery to
-             reclaim; mark the registry slot dead. *)
-          Rwsets.Wset.forget_locks root.wset;
-          if !Runtime.recovery then Registry.mark_crashed ();
-          if !Runtime.sanitizer then Sanitizer.tx_crashed ~owner:root_tx;
-          Domain.DLS.set current None;
-          raise e
-        | e ->
-          Rwsets.Wset.unlock_all_restore root.wset;
-          Txrec.abort_open root.rec_state;
-          if !Runtime.sanitizer then Sanitizer.tx_end ~owner:root_tx;
-          if !Runtime.recovery then Registry.clear ();
-          Domain.DLS.set current None;
-          raise e)
+    let result = nest ~parent child f in
+    Txrec.commit_tx child.root.rec_state ~tx:child.tx_id;
+    (* Outheritance: the child's critical view joins the parent's. *)
+    Rwsets.Rset.append_into ~src:child.view ~dst:parent.view;
+    result
 
   let atomic ?mode:_ f =
-    match Domain.DLS.get current with
+    match current () with
     | Some parent -> run_nested parent f
-    | None -> run_toplevel f
+    | None -> run_toplevel Stm_intf.Regular f
 end
 
 (** The default view-transaction instance. *)

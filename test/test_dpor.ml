@@ -54,6 +54,52 @@ let test_dep_footprints () =
   Alcotest.(check bool) "clock is an ordinary location" true
     (Dep.dependent (fp [ Write clock_pe ]) (fp [ Read clock_pe ]))
 
+(* A footprint must keep exactly what the pairwise relation needs: two
+   steps are dependent iff some access of one is dependent on some access
+   of the other, and [iter] lists each location once, in increasing order,
+   stored to iff any access to it stores. *)
+let test_dep_footprint_reference () =
+  let open Runtime in
+  let rng = Random.State.make [| 17 |] in
+  let access () =
+    let loc = Random.State.int rng 6 - 1 in
+    match Random.State.int rng 4 with
+    | 0 -> Pure
+    | 1 -> Read loc
+    | 2 -> Write loc
+    | _ -> Lock loc
+  in
+  let accesses () = List.init (Random.State.int rng 6) (fun _ -> access ()) in
+  let locations accs =
+    List.filter_map
+      (function
+        | Pure -> None
+        | Read l -> Some (l, false)
+        | Write l | Lock l -> Some (l, true))
+      accs
+    |> List.sort_uniq compare
+    |> List.fold_left
+         (fun out (l, st) ->
+           match out with
+           | (l', st') :: rest when l' = l -> (l, st || st') :: rest
+           | _ -> (l, st) :: out)
+         []
+    |> List.rev
+  in
+  for _ = 1 to 2_000 do
+    let a = accesses () and b = accesses () in
+    let listed = ref [] in
+    Dep.iter
+      (fun l ~stores -> listed := (l, stores) :: !listed)
+      (Dep.of_accesses a);
+    Alcotest.(check (list (pair int bool)))
+      "iter lists each location once, sorted" (locations a)
+      (List.rev !listed);
+    Alcotest.(check bool) "footprint dependence = pairwise dependence"
+      (List.exists (fun x -> List.exists (Dep.dependent_access x) b) a)
+      (Dep.dependent (Dep.of_accesses a) (Dep.of_accesses b))
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Scenario builders                                                   *)
 
@@ -251,6 +297,8 @@ let test_three_proc_drop_violation () =
 let suite =
   [ Alcotest.test_case "Dep: single-access dependence" `Quick test_dep_access;
     Alcotest.test_case "Dep: footprint dependence" `Quick test_dep_footprints;
+    Alcotest.test_case "Dep: footprints match the pairwise relation" `Quick
+      test_dep_footprint_reference;
     Alcotest.test_case "fig1 is strictly pruned" `Quick
       test_fig1_strictly_pruned;
     Alcotest.test_case "DPOR and naive witness identical outcome sets" `Quick

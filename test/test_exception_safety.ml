@@ -6,7 +6,7 @@
     "the test is the crash orchestrator: it injects the fault and \
      asserts on the aftermath"]
 
-(* Exception safety of the four engines: a user (or injected) exception
+(* Exception safety of the engines: a user (or injected) exception
    escaping at the worst possible moment — mid-commit, while write locks
    are held — must leave no lock behind, keep the serial token free, and
    let the very next transaction on the same data commit.
@@ -14,11 +14,14 @@
    The armed-fault point arithmetic mirrors the chaos domain-kill killer:
    a transaction that reads and rewrites two fresh cells costs read,
    write, read, write (four points), one commit point, then one lock
-   point per write-set entry, in all three lazy-locking tvar engines.
-   [arm_raise_after ~points:7] therefore raises at the second lock point,
-   with exactly one write lock held.  If the engine leaked that lock, the
-   follow-up transaction would wedge — the transaction deadline turns
-   that into a loud [Timeout] failure rather than a hang. *)
+   point per write-set entry, in the lazy-locking tvar engines (TL2,
+   OE-STM, View-STM).  [arm_raise_after ~points:7] therefore raises at the
+   second lock point, with exactly one write lock held.  LSA and SwissTM
+   lock at the write instead (one lock point after each write point), so
+   the same budget raises at the commit point with both encounter-time
+   locks held.  If the engine leaked a lock, the follow-up transaction
+   would wedge — the transaction deadline turns that into a loud
+   [Timeout] failure rather than a hang. *)
 
 open Stm_core
 
@@ -121,6 +124,8 @@ end
 
 module Oe_exn = Make (Oestm.Oe)
 module Tl2_exn = Make (Classic_stm.Tl2)
+module Lsa_exn = Make (Classic_stm.Lsa)
+module Swiss_exn = Make (Classic_stm.Swisstm)
 module View_exn = Make (Viewstm.V)
 
 (* Boosting is eager and lock-based, so the same guarantees read
@@ -201,4 +206,6 @@ module Boost_exn = struct
         `Quick test_user_exception_in_body ]
 end
 
-let suite = Oe_exn.cases @ Tl2_exn.cases @ View_exn.cases @ Boost_exn.cases
+let suite =
+  Oe_exn.cases @ Tl2_exn.cases @ Lsa_exn.cases @ Swiss_exn.cases
+  @ View_exn.cases @ Boost_exn.cases

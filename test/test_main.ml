@@ -34,7 +34,6 @@ let () =
        ("composition", Test_composition.suite);
        ("elastic", Test_elastic.suite);
        ("convert", Test_convert.suite);
-       ("harness", Test_harness.suite);
        ("boosting", Test_boosting.suite);
        ("ablation", Test_ablation.suite);
        ("theorems", Test_theorems.suite);
@@ -42,12 +41,18 @@ let () =
        ("clock", Test_clock.suite);
        ("linearizability", Test_linearizability.suite);
        ("tx_queue_map", Test_tx_queue_map.suite);
+       (* The harness suite compares throughput across wall-clock windows,
+          so it runs after the exploration suites: by then [dune runtest]'s
+          other test binary, which starts alongside this one and loads both
+          cores, has finished. *)
+       ("harness", Test_harness.suite);
        ("backoff_retry", Test_backoff_retry.suite);
        ("cm", Test_cm.suite);
        ("faults", Test_faults.suite);
        ("recovery", Test_recovery.suite);
        ("persist", Test_persist.suite);
        ("exception-safety", Test_exception_safety.suite);
+       ("frame", Test_frame.suite);
        ("chaos", Test_chaos.suite);
        ("sanitizer", Test_sanitizer.suite);
        ("txlint", Test_txlint.suite);
