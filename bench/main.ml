@@ -178,25 +178,10 @@ let () =
   let json = find_value "--json" in
   let compare_file = find_value "--compare" in
   let regress_pct = float_value "--regress-pct" in
-  (* Global-clock policy (gv1 | gv4 | gv5), recorded in the report config;
-     see DESIGN.md §5f for what each variant trades. *)
-  Option.iter
-    (fun p -> Stm_core.Clock.set_policy (Stm_core.Clock.policy_of_string p))
-    (find_value "--clock");
-  (* Robustness knobs: contention-manager policy, retry cap, backoff
-     window parameters and fault injection.  They configure process-wide
-     state before any measurement starts and are recorded in the JSON
-     report's "config" object. *)
-  Option.iter
-    (fun p -> Stm_core.Cm.set_policy (Stm_core.Cm.policy_of_string p))
-    (find_value "--cm");
+  (* Robustness knobs: retry cap and fault injection.  They configure
+     process-wide state before any measurement starts and are recorded in
+     the JSON report's "config" object. *)
   Option.iter (fun n -> Stm_core.Runtime.retry_cap := n) (int_value "--retry-cap");
-  Option.iter
-    (fun i -> Stm_core.Backoff.set_defaults ~init:i ())
-    (int_value "--backoff-init");
-  Option.iter
-    (fun m -> Stm_core.Backoff.set_defaults ~max_window:m ())
-    (int_value "--backoff-max");
   Option.iter
     (fun spec -> Stm_core.Faults.enable (Stm_core.Faults.parse spec))
     (find_value "--faults");

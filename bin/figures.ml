@@ -19,35 +19,10 @@ let threads_conv = Arg.conv (parse_threads, fun ppf l ->
     Format.fprintf ppf "%s" (String.concat "," (List.map string_of_int l)))
 
 let run_figures figure_str threads duration runs size_exp seed full csv json
-    cm clock retry_cap backoff_init backoff_max faults sanitizer recovery
-    lease_ns =
+    retry_cap faults sanitizer recovery lease_ns =
   (* Robustness knobs first: they configure process-wide state that the
      sweep reads, and the JSON report records them in its "config". *)
-  (match cm with
-  | None -> ()
-  | Some p ->
-    (match Stm_core.Cm.policy_of_string p with
-    | p -> Stm_core.Cm.set_policy p
-    | exception Invalid_argument m ->
-      Printf.eprintf "%s\n" m;
-      exit 2));
-  (match clock with
-  | None -> ()
-  | Some p ->
-    (match Stm_core.Clock.policy_of_string p with
-    | p -> Stm_core.Clock.set_policy p
-    | exception Invalid_argument m ->
-      Printf.eprintf "%s\n" m;
-      exit 2));
   Option.iter (fun n -> Stm_core.Runtime.retry_cap := n) retry_cap;
-  (try
-     Option.iter (fun i -> Stm_core.Backoff.set_defaults ~init:i ()) backoff_init;
-     Option.iter
-       (fun m -> Stm_core.Backoff.set_defaults ~max_window:m ())
-       backoff_max
-   with Invalid_argument m ->
-     Printf.eprintf "%s\n" m;
-     exit 2);
   (match faults with
   | None -> ()
   | Some spec ->
@@ -159,30 +134,10 @@ let cmd =
                  BENCH_6a.json.  Enables detailed metrics (latency \
                  percentiles, rw-set sizes, retry depths).")
   in
-  let cm =
-    Arg.(value & opt (some string) None & info [ "cm" ] ~docv:"POLICY"
-           ~doc:"Contention-manager policy: backoff (default), karma or \
-                 timestamp.")
-  in
-  let clock =
-    Arg.(value & opt (some string) None & info [ "clock" ] ~docv:"POLICY"
-           ~doc:"Global-version-clock policy: gv1 (default, fetch-and-add \
-                 per commit), gv4 (CAS once, adopt the winner's value on \
-                 failure) or gv5 (commit at read+2, bump the clock on \
-                 aborts).  Recorded in the JSON report config.")
-  in
   let retry_cap =
     Arg.(value & opt (some int) None & info [ "retry-cap" ] ~docv:"N"
            ~doc:"Optimistic retries before escalating to the \
                  serial-irrevocable fallback (default 64).")
-  in
-  let backoff_init =
-    Arg.(value & opt (some int) None & info [ "backoff-init" ] ~docv:"N"
-           ~doc:"Initial backoff window in relaxation steps (default 16).")
-  in
-  let backoff_max =
-    Arg.(value & opt (some int) None & info [ "backoff-max" ] ~docv:"N"
-           ~doc:"Backoff window ceiling in relaxation steps (default 2^14).")
   in
   let faults =
     Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC"
@@ -215,7 +170,7 @@ let cmd =
   Cmd.v
     (Cmd.info "figures" ~doc:"Regenerate the figures of Composing Relaxed Transactions (IPDPS'13)")
     Term.(const run_figures $ figure $ threads $ duration $ runs $ size_exp
-          $ seed $ full $ csv $ json $ cm $ clock $ retry_cap $ backoff_init
-          $ backoff_max $ faults $ sanitizer $ recovery $ lease_ns)
+          $ seed $ full $ csv $ json $ retry_cap $ faults $ sanitizer
+          $ recovery $ lease_ns)
 
 let () = exit (Cmd.eval' cmd)

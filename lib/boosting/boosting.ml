@@ -152,20 +152,8 @@ let log_undo tx inverse = tx.undo <- inverse :: tx.undo
    flows through an explicit op log: operations on a persistent boosted
    structure record (persistent id, payload) pairs, and the root commit
    stages them as one WAL record.  Replay goes through the function
-   registered with [Persist.register_replayer] for that id.
-
-   The record's commit version must order dependent boosting commits
-   even under GV5 (where commits never advance the clock): a dedicated
-   monotone floor makes every durable boosting wv strictly larger than
-   the previous one. *)
+   registered with [Persist.register_replayer] for that id. *)
 let log_durable tx ~id payload = tx.durable <- (id, payload) :: tx.durable
-
-let durable_floor = Padding.atomic 0
-
-let rec bump_durable_floor v =
-  let cur = Atomic.get durable_floor in
-  if v > cur && not (Atomic.compare_and_set durable_floor cur v) then
-    bump_durable_floor v
 
 let release_all tx =
   List.iter (fun l -> Abstract_lock.release l ~owner:tx.root_id) tx.locks;
@@ -190,11 +178,9 @@ include Frame.Make (struct
     if !Runtime.durability && tx.durable <> [] then begin
       (* Mint the WAL record's version while the abstract locks are still
          held: any dependent boosting commit acquires one of them
-         afterwards and so observes the bumped floor, keeping replay order
-         consistent with real order. *)
-      let wv = Clock.tick ~floor:(fun () -> Atomic.get durable_floor) () in
-      bump_durable_floor wv;
-      Durable.stage ~wv (List.rev tx.durable);
+         afterwards, so its tick is larger (ticks follow real order) and
+         replay order is consistent with real order. *)
+      Durable.stage ~wv:(Clock.tick ()) (List.rev tx.durable);
       tx.durable <- []
     end;
     release_all tx

@@ -186,10 +186,10 @@ let find_entry pid = Hashtbl.find_opt registry pid
    update records then apply in ascending wv, and an entry lands only if
    its wv is strictly above its id's base — a snapshot taken at version v
    already contains every commit with wv <= v.  wv order extends the
-   real dependency order under every clock policy (an update that read or
-   overwrote another's write carries a strictly larger wv), so replaying
-   in wv order reconstructs a state equivalent to the pre-crash history;
-   ties are between independent commits, kept in file order. *)
+   real dependency order (ticks are unique and follow real order, see
+   clock.mli: an update that read or overwrote another's write carries a
+   strictly larger wv), so replaying in wv order reconstructs a state
+   equivalent to the pre-crash history. *)
 let replay_scanned (sc : Wal.scanned) =
   let records = List.map snd sc.Wal.s_records in
   let applied = ref 0 and skipped = ref 0 in

@@ -135,10 +135,7 @@ module Make_tvar (E : TVAR_ENGINE) = struct
     else begin
       if not (Rwsets.Wset.lock_all wset ~owner) then
         Control.abort_tx Control.Lock_contention;
-      (* The locks are held, so [max_version] is stable: it is the GV5
-         floor keeping write versions strictly above anything already
-         installed at these locations (GV1/GV4 never consult it). *)
-      let wv = Clock.tick ~floor:(fun () -> Rwsets.Wset.max_version wset) () in
+      let wv = Clock.tick () in
       (* Commit decides against [wv], not the old [rv] — a full scan. *)
       if not (E.validate ctx) then begin
         Rwsets.Wset.unlock_all_restore wset;

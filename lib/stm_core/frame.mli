@@ -17,9 +17,9 @@ module Make (E : ENGINE) : S with type ctx := E.ctx
 
 (** The frame of a tvar engine: {!Make} with the write-back commit, which
     runs in this order — schedule point and serial gate; poison check and
-    [Wset.lock_all]; [Clock.tick ~floor:max_version]; the engine's
-    [validate], then {!Sanitizer.on_commit}; poison check under the locks
-    and [Wset.install_and_unlock]; {!Durable.stage}.  A commit with an empty
+    [Wset.lock_all]; [Clock.tick]; the engine's [validate], then
+    {!Sanitizer.on_commit}; poison check under the locks and
+    [Wset.install_and_unlock]; {!Durable.stage}.  A commit with an empty
     write set only passes the gate and runs [validate_read_only]. *)
 module Make_tvar (E : TVAR_ENGINE) : sig
   include S with type ctx := E.ctx

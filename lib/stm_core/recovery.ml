@@ -11,9 +11,10 @@
       against a freshly locked stamp;
    1. doom the victim's slot (generation bump) — a resurrected victim now
       fails its poison check before installing anything;
-   2. mint a poisoned version strictly above the version observed under
-      the lock, via [Clock.tick ~floor] so the global clock also moves
-      past it (readers of the poisoned stamp abort as "too new" and
+   2. mint a poisoned version with [Clock.tick]: it lies strictly above
+      the version observed under the lock, because every installed
+      version is at most the clock (clock.mli), and the clock moves past
+      it too (readers of the poisoned stamp abort as "too new" and
       re-read, never validating against torn state);
    3. CAS the stamp from the exact observed locked value to the poisoned
       version — if the victim released (or another thief won) meanwhile,
@@ -109,9 +110,7 @@ let try_steal_vlock lock =
                    (* Doom first: the victim must be poisoned before the
                       lock can change hands. *)
                    ignore (Registry.doom ~owner:victim);
-                   let pv =
-                     Clock.tick ~floor:(fun () -> Vlock.version_of s) ()
-                   in
+                   let pv = Clock.tick () in
                    (match Vlock.steal lock ~observed:s ~victim ~version:pv with
                    | None -> false
                    | Some displaced ->

@@ -1,18 +1,20 @@
 let starvation_msg = "transaction exceeded retry cap"
 
-let run ?cm ~stats f =
-  let cm =
-    match cm with
-    | Some cm -> cm
-    | None -> Cm.create ~seed:(Runtime.fresh_tx_id ()) ()
-  in
+let run ~stats f =
+  (* The backoff seed is drawn up front, but the [Backoff.t] itself is only
+     built on the first abort, and the birth time is only read when a
+     deadline is configured: a transaction that commits on its first
+     attempt allocates neither. *)
+  let seed = Runtime.fresh_tx_id () in
+  let budget = !Runtime.tx_timeout_ns in
+  let birth_ns = if Option.is_none budget then 0L else Mclock.now_ns () in
   (* Read the flag once per transaction: a mid-transaction toggle may miss
      this loop, but the flag is only flipped between benchmark phases. *)
   let detailed = Stats.detailed_enabled () in
   let deadline_expired () =
-    match !Runtime.tx_timeout_ns with
+    match budget with
     | None -> false
-    | Some budget -> Mclock.elapsed_ns (Cm.birth_ns cm) > budget
+    | Some budget -> Mclock.elapsed_ns birth_ns > budget
   in
   let timeout () =
     Stats.record_timeout stats;
@@ -46,10 +48,6 @@ let run ?cm ~stats f =
       if fi then Faults.leave_attempt ();
       if san then Sanitizer.audit_attempt ~before:g0 ~aborted:true;
       if !Runtime.durability then Durable.discard_staged ();
-      (* GV5 bumps the clock on aborts (no-op for GV1/GV4): a transaction
-         that aborted on a lazily installed future version pulls the clock
-         up so its next attempt's read stamp can cover that version. *)
-      Clock.on_abort ();
       Stats.record_abort stats reason;
       if detailed then Stats.record_abort_latency stats (Mclock.elapsed_ns t0);
       Error reason
@@ -75,8 +73,7 @@ let run ?cm ~stats f =
       in
       go n)
   in
-  let rec attempt n =
-    Cm.pre_attempt cm ~attempt:n;
+  let rec attempt n backoff =
     if deadline_expired () then timeout ();
     if n > !Runtime.retry_cap then begin
       (* Only reachable with a negative cap: a cap exhausted by aborts is
@@ -94,9 +91,9 @@ let run ?cm ~stats f =
           timeout ();
       match call_attempt n with
       | Ok r -> r
-      | Error reason ->
+      | Error _ ->
         if n + 1 > !Runtime.retry_cap then begin
-          (* The cap is exhausted.  No contention-manager wait here: under
+          (* The cap is exhausted.  No backoff wait here: under
              [`Fallback] the escalating attempt must run immediately (it is
              about to serialise the world; delaying it only lengthens the
              stop), and under [`Raise] the caller wants the exception. *)
@@ -106,11 +103,14 @@ let run ?cm ~stats f =
           | `Fallback -> escalate (n + 1)
         end
         else begin
-          Cm.on_abort cm ~attempt:n reason;
-          attempt (n + 1)
+          let b =
+            match backoff with
+            | Some b -> b
+            | None -> Backoff.create ~seed ()
+          in
+          Backoff.once b;
+          attempt (n + 1) (Some b)
         end
     end
   in
-  let result = attempt 0 in
-  Cm.on_commit cm;
-  result
+  attempt 0 None

@@ -88,15 +88,6 @@ let sanitizer_hook : (san_event -> (unit -> bool) -> bool) ref =
 let sanitized_transition e cas = !sanitizer_hook e cas
 let sanitizer_event e = ignore (!sanitizer_hook e (fun () -> true))
 
-(* Global-clock policy (see [Clock]).  Lives here, below the clock module
-   itself, so that engines and the sanitizer can branch on the policy
-   without a dependency cycle.  [GV1]: fetch-and-add per writer commit.
-   [GV4]: CAS once, adopt the winner's value on failure.  [GV5]: commit at
-   [read + 2] without writing the clock; bump it on aborts instead. *)
-type clock_policy = GV1 | GV4 | GV5
-
-let clock_policy = ref GV1
-
 let retry_cap = ref 64
 
 let starvation_mode : [ `Raise | `Fallback ] ref = ref `Fallback

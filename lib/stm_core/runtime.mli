@@ -126,26 +126,6 @@ val sanitized_transition : san_event -> (unit -> bool) -> bool
     [cas], is always reported after [e].  Callers check {!sanitizer}
     first. *)
 
-(** Which global-version-clock algorithm {!Clock} runs (named after the
-    TL2 implementation's GV1/GV4/GV5 variants):
-
-    - [GV1]: every writer commit does one [fetch_and_add] — unique write
-      versions, maximal clock contention;
-    - [GV4] ("pass on failure"): one CAS; a loser adopts the winner's value
-      as its own write version instead of retrying, so the clock absorbs at
-      most one RMW per {e group} of simultaneous commits;
-    - [GV5] ("increment on abort"): writers commit at [now () + 2] without
-      touching the clock at all; the clock is bumped lazily on aborts so a
-      reader that keeps seeing "too new" versions catches up.
-
-    The flag lives here rather than in {!Clock} so engines and the
-    sanitizer can branch on the policy without a dependency cycle.  Switch
-    only through {!Clock.set_policy}, and never while transactions are
-    live. *)
-type clock_policy = GV1 | GV4 | GV5
-
-val clock_policy : clock_policy ref
-
 val retry_cap : int ref
 (** Maximum number of times one [atomic] call may retry optimistically.
     What happens at the cap depends on {!starvation_mode}: under the

@@ -331,20 +331,6 @@ module Wset = struct
      releasing a lock the crashed attempt still notionally holds. *)
   let forget_locks t = Vec.iter (fun (W e) -> e.locked <- false) t.entries
 
-  (* Highest committed version among the held locks.  A locked stamp keeps
-     the pre-lock version, so this is exactly the largest version any of
-     these locations has ever published — the GV5 floor ([Clock.tick]),
-     which keeps per-location versions strictly increasing even though GV5
-     does not advance the clock at commit. *)
-  let max_version t =
-    let top = ref 0 in
-    Vec.iter
-      (fun (W e) ->
-        let v = Vlock.version_of (Vlock.stamp e.tv.Tvar.lock) in
-        if v > !top then top := v)
-      t.entries;
-    !top
-
   let install_and_unlock t ~wv =
     let stolen = ref false in
     Vec.iter

@@ -95,12 +95,6 @@ module Wset : sig
   (** Eagerly lock just [tv]'s entry (which must exist); returns false if the
       lock is held by another transaction.  Idempotent for [owner]. *)
 
-  val max_version : t -> int
-  (** Highest committed version among the entries' locks (0 when empty).
-      Call with the locks held: it is the floor passed to {!Clock.tick} so
-      GV5 write versions stay strictly above anything already installed at
-      these locations. *)
-
   val install_and_unlock : t -> wv:int -> unit
   (** Write every pending value into its tvar and release the lock,
       publishing version [wv].  All entries must be locked by the caller.

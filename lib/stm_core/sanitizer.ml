@@ -306,23 +306,9 @@ let on_commit ~owner ~wv iter =
            caught it.  Foreign-locked entries and versions beyond [wv]
            (post-validation interference, which necessarily obtained a
            newer tick) are indistinguishable from benign races and are
-           skipped.
-
-           Under GV5 the bound is strict: a concurrent committer that read
-           the same clock value installs at exactly our [wv] (GV5 writers
-           share [now + 2] without ticking), and it can do so between our
-           validation and this scan — a benign race, not staleness.  Under
-           GV1/GV4 equality stays a violation: ticks are unique (GV1), and
-           a GV4 adopter's tick necessarily runs after it locked the
-           location, which is after our validation passed over the
-           unlocked stamp and hence after our own CAS — so interference
-           always lands strictly above [wv]. *)
-        let within_serialization =
-          match !Runtime.clock_policy with
-          | Runtime.GV5 -> now < wv
-          | Runtime.GV1 | Runtime.GV4 -> now <= wv
-        in
-        if (not (Vlock.locked s)) && now <> seen && within_serialization then
+           skipped.  Equality is a violation too: ticks are unique, so no
+           other commit installs at exactly [wv]. *)
+        if (not (Vlock.locked s)) && now <> seen && now <= wv then
           record ~kind:Commit_stale ~pe:e.Rwsets.r_pe ~owner
             (Printf.sprintf
                "committing at wv %d with a read of version %d whose \

@@ -215,21 +215,30 @@ let test_no_backoff_before_escalation () =
               Alcotest.(check int) "exactly cap waits, none when escalating"
                 2 yields)))
 
-(* A caller-supplied contention manager is reset by the commit that ends a
-   fallback episode, so the next transaction starts from a cold window. *)
+(* The backoff lives for one [Retry_loop.run] call, so nothing of a
+   fallback episode carries over: the serial token is released, and the
+   next transaction's first abort costs one wait before it commits
+   optimistically, without a second escalation. *)
 let test_backoff_reset_after_fallback () =
   simulated (fun () ->
       with_starvation_mode `Fallback (fun () ->
           with_retry_cap 4 (fun () ->
               let stats = Stats.create () in
-              let cm = Cm.create ~policy:Cm.Backoff () in
               ignore
-                (Retry_loop.run ~cm ~stats (fun ~attempt:_ ->
+                (Retry_loop.run ~stats (fun ~attempt:_ ->
                      if Runtime.Serial.mine () then ()
                      else Control.abort_tx Control.Validation_failed));
-              Alcotest.(check int) "window back at its initial value" 16
-                (Cm.window cm);
-              Alcotest.(check int) "priority cleared" 0 (Cm.priority cm))))
+              Alcotest.(check bool) "serial token released" false
+                (Runtime.Serial.active ());
+              let yields =
+                count_yields (fun () ->
+                    Retry_loop.run ~stats (fun ~attempt ->
+                        if attempt = 0 then
+                          Control.abort_tx Control.Validation_failed))
+              in
+              Alcotest.(check int) "one wait before the retry" 1 yields;
+              Alcotest.(check int) "no second fallback" 1
+                (Stats.snapshot stats).Stats.fallbacks)))
 
 (* With a deadline configured, a workload that cannot commit stops with
    Timeout instead of looping in the serial mode forever. *)

@@ -5,14 +5,6 @@ let txsan = Sys.getenv_opt "TXSAN" <> None
 
 let () = if txsan then Stm_core.Sanitizer.enable ()
 
-(* CLOCK=gv1|gv4|gv5 runs the whole suite under that global-clock policy
-   (the CI matrix lane); tests that pin a policy save and restore it, so
-   the ambient choice survives across suites. *)
-let () =
-  match Sys.getenv_opt "CLOCK" with
-  | None -> ()
-  | Some p -> Stm_core.Clock.set_policy (Stm_core.Clock.policy_of_string p)
-
 let txsan_gate =
   [ Alcotest.test_case "zero violations over the whole run" `Quick
       (fun () ->
@@ -47,7 +39,6 @@ let () =
           cores, has finished. *)
        ("harness", Test_harness.suite);
        ("backoff_retry", Test_backoff_retry.suite);
-       ("cm", Test_cm.suite);
        ("faults", Test_faults.suite);
        ("recovery", Test_recovery.suite);
        ("persist", Test_persist.suite);

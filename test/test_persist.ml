@@ -370,6 +370,68 @@ let test_boosting_durable_oplog () =
         [ "add:7"; "add:9"; "del:7" ]
         (List.rev !applied))
 
+(* Two domains hand one abstract lock back and forth, each commit logging
+   its position in the real commit order (a counter read under the lock).
+   The WAL append runs after the commit releases the lock, so the next
+   holder's record can reach the log first; replay goes by commit version,
+   and only a unique tick taken under the lock makes that order the real
+   one. *)
+let test_boosting_replay_order () =
+  with_wal_file (fun path ->
+      let per_domain = 50 in
+      let lock = Boosting.Abstract_lock.create () in
+      let seq = Atomic.make 0 in
+      let turn = Atomic.make 0 in
+      let applied = ref [] in
+      Persist.register_replayer ~pid:51 (fun s -> applied := s :: !applied);
+      Persist.enable ~path ();
+      let worker d () =
+        for _ = 1 to per_domain do
+          while Atomic.get turn <> d do
+            Domain.cpu_relax ()
+          done;
+          Boosting.atomic (fun tx ->
+              Boosting.acquire tx lock;
+              let k = Atomic.fetch_and_add seq 1 in
+              Boosting.log_undo tx (fun () -> Atomic.set seq k);
+              Boosting.log_durable tx ~id:51 (string_of_int k);
+              (* Hand over while still holding the lock: the other domain
+                 queues on it and commits right after our release, racing
+                 our WAL append. *)
+              Atomic.set turn (1 - d))
+        done
+      in
+      let ds = Array.init 2 (fun d -> Domain.spawn (worker d)) in
+      Array.iter Domain.join ds;
+      let n = 2 * per_domain in
+      Alcotest.(check int) "every commit acked" n (Persist.acked_records ());
+      (* Commit versions, taken in commit order, must strictly increase —
+         whatever order the records reached the file in. *)
+      let wvs =
+        List.filter_map
+          (fun (_, r) ->
+            match r with
+            | Persist.Wal.Update { wv; entries = [ (_, k) ] } ->
+              Some (int_of_string k, wv)
+            | _ -> None)
+          (Persist.Wal.scan path).Persist.Wal.s_records
+        |> List.sort compare |> List.map snd
+      in
+      Alcotest.(check int) "one record per commit" n (List.length wvs);
+      List.iteri
+        (fun i wv ->
+          if i > 0 && wv <= List.nth wvs (i - 1) then
+            Alcotest.failf "commit %d has wv %d, not above its predecessor's"
+              i wv)
+        wvs;
+      Persist.reset_for_testing ();
+      Persist.register_replayer ~pid:51 (fun s -> applied := s :: !applied);
+      let s = Persist.recover ~path () in
+      Alcotest.(check int) "every record replayed" n s.Persist.updates_intact;
+      Alcotest.(check (list string)) "replay follows the commit order"
+        (List.init n string_of_int)
+        (List.rev !applied))
+
 (* --- registration discipline ------------------------------------------ *)
 
 let test_registration_errors () =
@@ -409,6 +471,8 @@ let suite =
       test_checkpoint_compaction;
     Alcotest.test_case "boosting durable op-log" `Quick
       test_boosting_durable_oplog;
+    Alcotest.test_case "boosting replay order across domains" `Quick
+      test_boosting_replay_order;
     Alcotest.test_case "registration discipline" `Quick
       test_registration_errors ]
   @ List.map

@@ -101,6 +101,8 @@ let test_vlock_steal_dead_owner () =
       Alcotest.(check bool) "stolen lock is free" false (Vlock.locked s);
       Alcotest.(check bool) "at a poisoned (bumped) version" true
         (Vlock.version_of s > v0);
+      Alcotest.(check bool) "the clock covers the poisoned version" true
+        (Clock.now () >= Vlock.version_of s);
       Alcotest.(check int) "steal counted" 1
         (Stats.recovery_counters ()).Stats.orphan_steals;
       (* A second attempt finds nothing to steal. *)
