@@ -137,58 +137,70 @@ let run_compare ~baseline_file ~regress_pct results =
           threshold_pct
 
 let () =
-  let argv = Sys.argv in
-  let skip_sweep = Array.exists (( = ) "--skip-sweep") argv in
-  let skip_micro = Array.exists (( = ) "--skip-micro") argv in
-  (* [--detailed] leaves the histogram recorders on for the
-     micro-benchmarks too: comparing ns/op with and without it measures
-     the cost of the metrics layer itself (it should be within noise when
-     off — the flag's whole point). *)
-  let detailed = Array.exists (( = ) "--detailed") argv in
-  (* [--read-heavy] swaps the sweep to the read-dominated linked-list
-     series (6a, 6b, 6r) — the workloads most sensitive to per-read
-     write-set lookup and read-set validation costs.  CI gates this sweep
-     against the committed baseline. *)
-  let read_heavy = Array.exists (( = ) "--read-heavy") argv in
-  let find_value flag =
-    let rec find i =
-      if i >= Array.length argv then None
-      else if argv.(i) = flag && i + 1 < Array.length argv then
-        Some argv.(i + 1)
-      else find (i + 1)
-    in
-    find 1
+  let skip_sweep = ref false and skip_micro = ref false in
+  let detailed = ref false and read_heavy = ref false in
+  let sanitizer = ref false and recovery = ref false in
+  let durability = ref false in
+  let json = ref None and compare_file = ref None in
+  let regress_pct = ref None and retry_cap = ref None in
+  let faults = ref None and lease_ns = ref None in
+  let wal_path = ref None and wal_sync_every = ref None in
+  let specs =
+    [ ("--skip-sweep", Arg.Set skip_sweep, " run only the micro-benchmarks");
+      ("--skip-micro", Arg.Set skip_micro, " run only the figure sweep");
+      (* [--detailed] leaves the histogram recorders on for the
+         micro-benchmarks too: comparing ns/op with and without it
+         measures the cost of the metrics layer itself (it should be
+         within noise when off — the flag's whole point). *)
+      ("--detailed", Arg.Set detailed, " keep the histogram recorders on");
+      (* [--read-heavy] swaps the sweep to the read-dominated linked-list
+         series (6a, 6b, 6r) — the workloads most sensitive to per-read
+         write-set lookup and read-set validation costs.  CI gates this
+         sweep against the committed baseline. *)
+      ("--read-heavy", Arg.Set read_heavy, " sweep figures 6a, 6b and 6r");
+      ( "--json",
+        Arg.String (fun v -> json := Some v),
+        "FILE write a JSON report" );
+      ( "--compare",
+        Arg.String (fun v -> compare_file := Some v),
+        "FILE diff the sweep against a baseline report" );
+      ( "--regress-pct",
+        Arg.Float (fun v -> regress_pct := Some v),
+        "P with --compare, fail if a series lost more than P percent" );
+      ("--retry-cap", Arg.Int (fun v -> retry_cap := Some v), "N retry cap");
+      ( "--faults",
+        Arg.String (fun v -> faults := Some v),
+        "SPEC inject faults" );
+      ("--sanitizer", Arg.Set sanitizer, " run with the sanitizer on");
+      ("--recovery", Arg.Set recovery, " enable orphan-lock recovery");
+      ("--lease-ns", Arg.Int (fun v -> lease_ns := Some v), "N recovery lease");
+      ("--durability", Arg.Set durability, " open a write-ahead log");
+      ("--wal-path", Arg.String (fun v -> wal_path := Some v), "PATH WAL file");
+      ( "--wal-sync-every",
+        Arg.Int (fun v -> wal_sync_every := Some v),
+        "N commits per fsync" ) ]
   in
-  let int_value flag =
-    Option.map
-      (fun v ->
-        match int_of_string_opt v with
-        | Some n -> n
-        | None -> failwith (flag ^ " wants an integer, got " ^ v))
-      (find_value flag)
-  in
-  let float_value flag =
-    Option.map
-      (fun v ->
-        match float_of_string_opt v with
-        | Some f -> f
-        | None -> failwith (flag ^ " wants a number, got " ^ v))
-      (find_value flag)
-  in
-  let json = find_value "--json" in
-  let compare_file = find_value "--compare" in
-  let regress_pct = float_value "--regress-pct" in
+  let usage = "usage: bench/main.exe [OPTION]..." in
+  (* Unknown flags and stray arguments exit 2 with the usage, so a
+     mistyped knob never silently measures the defaults. *)
+  Arg.parse (Arg.align specs)
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    usage;
+  let skip_sweep = !skip_sweep and skip_micro = !skip_micro in
+  let detailed = !detailed and read_heavy = !read_heavy in
+  let json = !json and compare_file = !compare_file in
+  let regress_pct = !regress_pct in
   (* Robustness knobs: retry cap and fault injection.  They configure
      process-wide state before any measurement starts and are recorded in
      the JSON report's "config" object. *)
-  Option.iter (fun n -> Stm_core.Runtime.retry_cap := n) (int_value "--retry-cap");
+  Option.iter (fun n -> Stm_core.Runtime.retry_cap := n) !retry_cap;
   Option.iter
     (fun spec -> Stm_core.Faults.enable (Stm_core.Faults.parse spec))
-    (find_value "--faults");
+    !faults;
   (* [--sanitizer] turns Txsan on for the whole run: the benchmark doubles
      as a long soak under real contention.  Numbers are not comparable to
      clean runs (see EXPERIMENTS.md); the run fails on any violation. *)
-  let sanitizer = Array.exists (( = ) "--sanitizer") argv in
+  let sanitizer = !sanitizer in
   if sanitizer then begin
     Stm_core.Sanitizer.enable ();
     print_endline "## sanitizer on: numbers are NOT comparable to clean runs"
@@ -198,11 +210,9 @@ let () =
      reads and lock acquisitions); [--lease-ns] tunes the staleness
      lease.  With no crashing domains it should steal nothing — running
      it under the sanitizer asserts exactly that. *)
-  if Array.exists (( = ) "--recovery") argv then begin
+  if !recovery then begin
     let lease_ns =
-      Option.value
-        (int_value "--lease-ns")
-        ~default:Stm_core.Recovery.default_lease_ns
+      Option.value !lease_ns ~default:Stm_core.Recovery.default_lease_ns
     in
     Stm_core.Recovery.enable ~lease_ns ();
     Printf.printf "## recovery on: lease %dns\n%!" lease_ns
@@ -215,17 +225,15 @@ let () =
      fsync latency (see EXPERIMENTS.md).  [--wal-path] and
      [--wal-sync-every] configure the log; the JSON report's
      "durability" object records the configuration and counters. *)
-  if Array.exists (( = ) "--durability") argv then begin
+  if !durability then begin
     let path =
-      Option.value (find_value "--wal-path")
+      Option.value !wal_path
         ~default:
           (Filename.concat
              (Filename.get_temp_dir_name ())
              (Printf.sprintf "bench-%d.wal" (Unix.getpid ())))
     in
-    let sync_every =
-      Option.value (int_value "--wal-sync-every") ~default:1
-    in
+    let sync_every = Option.value !wal_sync_every ~default:1 in
     Persist.enable ~sync_every ~path ();
     Printf.printf "## durability on: wal=%s sync_every=%d\n%!" path
       sync_every

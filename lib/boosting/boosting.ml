@@ -101,7 +101,7 @@ let acquire tx lock =
   else begin
   let patience = 1_000 in
   let rec go n =
-    Runtime.schedule_point_on (Runtime.Lock (Abstract_lock.id lock));
+    Runtime.schedule_lock (Abstract_lock.id lock);
     (* Serial-irrevocable gate.  Boosting applies operations eagerly, so
        the gate sits on lock acquisition (the engine's only wait point):
        a transaction refused here rolls back via its undo log and releases

@@ -86,26 +86,29 @@ module Make (P : POLICY) :
 
   let read : type a. ctx -> a tvar -> a =
    fun ctx tv ->
-    Runtime.schedule_point_on (Runtime.Read (Tvar.id tv));
-    match Rwsets.Wset.find ctx.root.wset tv with
-    | Some v ->
+    let pe = Tvar.id tv in
+    Runtime.schedule_read pe;
+    let slot = Rwsets.Wset.slot ctx.root.wset tv in
+    if slot >= 0 then begin
+      let v = Rwsets.Wset.pending ctx.root.wset slot tv in
       if Stats.detailed_enabled () then Stats.record_read_ws_hit stats;
-      Txrec.read ctx.root.rec_state ~tx:ctx.cur_tx ~pe:(Tvar.id tv) v;
+      Txrec.read ctx.root.rec_state ~tx:ctx.cur_tx ~pe v;
       v
-    | None ->
+    end
+    else begin
       if Stats.detailed_enabled () then Stats.record_read_ws_miss stats;
-      let s, v = Tvar.read_consistent tv in
+      let s = Tvar.read_stamp tv in
+      let v = Tvar.read_value tv ~stamp:s in
       if Vlock.version_of s > ctx.root.rv then begin
         if not P.extend_on_read then Control.abort_tx Control.Read_too_new;
         extend ctx
       end;
-      let pe = Tvar.id tv in
       Txrec.acquire ctx.root.rec_state ~pe;
-      Rwsets.Rset.push ctx.rset
-        { Rwsets.r_lock = tv.Tvar.lock; r_seen = s; r_pe = pe };
+      Rwsets.Rset.add ctx.rset tv.Tvar.lock ~seen:s ~pe;
       if !Runtime.sanitizer then check_read ctx;
       Txrec.read ctx.root.rec_state ~tx:ctx.cur_tx ~pe v;
       v
+    end
 
   (* Eager lock acquisition with the two-phase contention manager: priority
      transactions retry the lock a bounded number of times. *)
@@ -133,8 +136,8 @@ module Make (P : POLICY) :
 
   let write : type a. ctx -> a tvar -> a -> unit =
    fun ctx tv v ->
-    Runtime.schedule_point_on (Runtime.Write (Tvar.id tv));
     let pe = Tvar.id tv in
+    Runtime.schedule_write pe;
     let first = Rwsets.Wset.add ctx.root.wset tv v in
     if first then begin
       Txrec.acquire ctx.root.rec_state ~pe;

@@ -72,9 +72,15 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
     rset_prot : Rwsets.Rset.t;
         (* protected elastic entries: window entries promoted at the first
            write or outherited from children; validated at commit *)
-    mutable w0 : Rwsets.rentry option;  (* most recent elastic read *)
-    mutable w1 : Rwsets.rentry option;  (* second most recent, unused when
-                                           [C.window_size] is 1 *)
+    (* The elastic window, unboxed: [w0] is the most recent elastic read,
+       [w1] the second most recent (unused when [C.window_size] is 1).
+       Each slot is the observed lock, stamp and pe; pe -1 = empty. *)
+    mutable w0_lock : Vlock.t;
+    mutable w0_seen : int;
+    mutable w0_pe : int;
+    mutable w1_lock : Vlock.t;
+    mutable w1_seen : int;
+    mutable w1_pe : int;
     mutable written : bool;
   }
 
@@ -82,12 +88,23 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
 
   let stats = Stats.create ()
 
-  let entry_valid ~owner = function
-    | None -> true
-    | Some e -> Rwsets.rentry_valid ~owner e
-
   let window_valid ~owner ctx =
-    entry_valid ~owner ctx.w0 && entry_valid ~owner ctx.w1
+    (ctx.w0_pe < 0 || Rwsets.read_valid ~owner ctx.w0_lock ~seen:ctx.w0_seen)
+    && (ctx.w1_pe < 0
+       || Rwsets.read_valid ~owner ctx.w1_lock ~seen:ctx.w1_seen)
+
+  (* The window's reads, oldest first. *)
+  let iter_window f ctx =
+    if ctx.w1_pe >= 0 then f ctx.w1_lock ctx.w1_seen ctx.w1_pe;
+    if ctx.w0_pe >= 0 then f ctx.w0_lock ctx.w0_seen ctx.w0_pe
+
+  let add_window rs ctx =
+    iter_window (fun lock seen pe -> Rwsets.Rset.add rs lock ~seen ~pe) ctx
+
+  let level ~tx_id ~mode ~root ~parent ~rset_snap ~rset_prot =
+    { tx_id; mode; root; parent; rset_snap; rset_prot;
+      w0_lock = Rwsets.no_lock; w0_seen = 0; w0_pe = -1;
+      w1_lock = Rwsets.no_lock; w1_seen = 0; w1_pe = -1; written = false }
 
   let validate_level ~owner ctx =
     Rwsets.Rset.validate ctx.rset_snap ~owner
@@ -137,8 +154,7 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
   let rec iter_levels level f =
     Rwsets.Rset.iter f level.rset_snap;
     Rwsets.Rset.iter f level.rset_prot;
-    Option.iter f level.w0;
-    Option.iter f level.w1;
+    iter_window f level;
     match level.parent with None -> () | Some p -> iter_levels p f
 
   include Frame.Make_tvar (struct
@@ -147,8 +163,8 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
     let stats = stats
 
     let start mode (root : Frame_intf.root) (s : Frame_intf.sets) =
-      { tx_id = root.owner; mode; root; parent = None; rset_snap = s.rset;
-        rset_prot = s.prot; w0 = None; w1 = None; written = false }
+      level ~tx_id:root.owner ~mode ~root ~parent:None ~rset_snap:s.rset
+        ~rset_prot:s.prot
 
     let root ctx = ctx.root
 
@@ -177,23 +193,25 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
     let reads ctx =
       Rwsets.Rset.length ctx.rset_snap
       + Rwsets.Rset.length ctx.rset_prot
-      + (match ctx.w0 with Some _ -> 1 | None -> 0)
-      + match ctx.w1 with Some _ -> 1 | None -> 0
+      + Bool.to_int (ctx.w0_pe >= 0)
+      + Bool.to_int (ctx.w1_pe >= 0)
   end)
 
   let read : type a. ctx -> a tvar -> a =
    fun ctx tv ->
-    Runtime.schedule_point_on (Runtime.Read (Tvar.id tv));
-    match Rwsets.Wset.find ctx.root.wset tv with
-    | Some v ->
+    let pe = Tvar.id tv in
+    Runtime.schedule_read pe;
+    let slot = Rwsets.Wset.slot ctx.root.wset tv in
+    if slot >= 0 then begin
+      let v = Rwsets.Wset.pending ctx.root.wset slot tv in
       if Stats.detailed_enabled () then Stats.record_read_ws_hit stats;
-      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe:(Tvar.id tv) v;
+      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe v;
       v
-    | None ->
+    end
+    else begin
       if Stats.detailed_enabled () then Stats.record_read_ws_miss stats;
-      let s, v = Tvar.read_consistent tv in
-      let pe = Tvar.id tv in
-      let entry = { Rwsets.r_lock = tv.Tvar.lock; r_seen = s; r_pe = pe } in
+      let s = Tvar.read_stamp tv in
+      let v = Tvar.read_value tv ~stamp:s in
       if ctx.mode = Elastic && not ctx.written then begin
         (* Elastic prefix: the new read must be mutually atomic with the
            reads still in the window; anything older is forgotten (the
@@ -202,42 +220,40 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
           Control.abort_tx Control.Window_invalid;
         Txrec.acquire ctx.root.rec_state ~pe;
         if keep_two then begin
-          (match ctx.w1 with
-          | Some dropped ->
-            Txrec.release ctx.root.rec_state ~pe:dropped.Rwsets.r_pe
-          | None -> ());
-          ctx.w1 <- ctx.w0
+          if ctx.w1_pe >= 0 then Txrec.release ctx.root.rec_state ~pe:ctx.w1_pe;
+          ctx.w1_lock <- ctx.w0_lock;
+          ctx.w1_seen <- ctx.w0_seen;
+          ctx.w1_pe <- ctx.w0_pe
         end
-        else
-          (match ctx.w0 with
-          | Some dropped ->
-            Txrec.release ctx.root.rec_state ~pe:dropped.Rwsets.r_pe
-          | None -> ());
-        ctx.w0 <- Some entry
+        else if ctx.w0_pe >= 0 then
+          Txrec.release ctx.root.rec_state ~pe:ctx.w0_pe;
+        ctx.w0_lock <- tv.Tvar.lock;
+        ctx.w0_seen <- s;
+        ctx.w0_pe <- pe
       end
       else begin
         if Vlock.version_of s > ctx.root.rv then extend ctx;
         Txrec.acquire ctx.root.rec_state ~pe;
-        Rwsets.Rset.push ctx.rset_snap entry
+        Rwsets.Rset.add ctx.rset_snap tv.Tvar.lock ~seen:s ~pe
       end;
       (* In sanitizer mode the window is revalidated too. *)
       if !Runtime.sanitizer then check_read ctx;
       Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe v;
       v
+    end
 
   (* From the first write on, the window's reads belong to the minimal
      protected set (Section V: Pmin = {r_k, ..., r_n}). *)
   let promote_window ctx =
     ctx.written <- true;
-    Option.iter (Rwsets.Rset.push ctx.rset_prot) ctx.w1;
-    Option.iter (Rwsets.Rset.push ctx.rset_prot) ctx.w0;
-    ctx.w0 <- None;
-    ctx.w1 <- None
+    add_window ctx.rset_prot ctx;
+    ctx.w0_pe <- -1;
+    ctx.w1_pe <- -1
 
   let write : type a. ctx -> a tvar -> a -> unit =
    fun ctx tv v ->
-    Runtime.schedule_point_on (Runtime.Write (Tvar.id tv));
     let pe = Tvar.id tv in
+    Runtime.schedule_write pe;
     if not ctx.written then promote_window ctx;
     let first = Rwsets.Wset.add ctx.root.wset tv v in
     if first then Txrec.acquire ctx.root.rec_state ~pe;
@@ -259,16 +275,14 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
         + Rwsets.Rset.filter_pe level.rset_prot ~pe
       in
       let dropped = ref dropped in
-      (match level.w0 with
-      | Some e when e.Rwsets.r_pe = pe ->
-        level.w0 <- None;
+      if level.w0_pe = pe then begin
+        level.w0_pe <- -1;
         incr dropped
-      | _ -> ());
-      (match level.w1 with
-      | Some e when e.Rwsets.r_pe = pe ->
-        level.w1 <- None;
+      end;
+      if level.w1_pe = pe then begin
+        level.w1_pe <- -1;
         incr dropped
-      | _ -> ());
+      end;
       for _ = 1 to !dropped do
         Txrec.release ctx.root.rec_state ~pe
       done;
@@ -293,24 +307,19 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
     | Outherit ->
       Rwsets.Rset.append_into ~src:child.rset_snap ~dst:parent.rset_snap;
       Rwsets.Rset.append_into ~src:child.rset_prot ~dst:parent.rset_prot;
-      Option.iter (Rwsets.Rset.push parent.rset_prot) child.w1;
-      Option.iter (Rwsets.Rset.push parent.rset_prot) child.w0;
+      add_window parent.rset_prot child;
       if child.written && not parent.written then promote_window parent
     | Drop ->
-      let release (e : Rwsets.rentry) =
-        Txrec.release child.root.rec_state ~pe:e.Rwsets.r_pe
-      in
+      let release _ _ pe = Txrec.release child.root.rec_state ~pe in
       Rwsets.Rset.iter release child.rset_snap;
       Rwsets.Rset.iter release child.rset_prot;
-      Option.iter release child.w1;
-      Option.iter release child.w0
+      iter_window release child
 
   let run_nested parent mode f =
     let child =
-      { tx_id = Runtime.fresh_tx_id (); mode; root = parent.root;
-        parent = Some parent; rset_snap = Rwsets.Rset.create ();
-        rset_prot = Rwsets.Rset.create (); w0 = None; w1 = None;
-        written = false }
+      level ~tx_id:(Runtime.fresh_tx_id ()) ~mode ~root:parent.root
+        ~parent:(Some parent) ~rset_snap:(Rwsets.Rset.create ())
+        ~rset_prot:(Rwsets.Rset.create ())
     in
     Txrec.begin_tx child.root.rec_state ~tx:child.tx_id;
     let result = nest ~parent child f in

@@ -79,8 +79,9 @@ module type TVAR_ENGINE = sig
   val validate_read_only : ctx -> bool
   (** Validation run by a commit with an empty write set. *)
 
-  val iter_reads : ctx -> (Rwsets.rentry -> unit) -> unit
-  (** Every tracked read entry, for {!Sanitizer.on_commit}. *)
+  val iter_reads : ctx -> (Vlock.t -> int -> int -> unit) -> unit
+  (** Every tracked read as [(lock, seen stamp, pe)], for
+      {!Sanitizer.on_commit}. *)
 
   val reads : ctx -> int
   (** Number of tracked reads, for {!Stats.record_rwset_sizes}. *)

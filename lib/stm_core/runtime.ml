@@ -18,7 +18,11 @@ let current_proc () = !proc_hook ()
 let fault_injection = ref false
 let fault_hook : (unit -> unit) ref = ref (fun () -> ())
 
-let yield_hook : (access -> unit) ref = ref (fun _ -> ())
+(* The default yield hook.  Scheduling points compare the installed hook
+   against it physically and build no access annotation while it is in
+   place, so an unscheduled transactional access allocates nothing. *)
+let no_yield : access -> unit = fun _ -> ()
+let yield_hook = ref no_yield
 
 (* Crash-tolerant lock recovery.  [Recovery] installs its hooks here; the
    flag keeps the hot path at one load-and-branch while recovery is off.
@@ -37,15 +41,25 @@ let serial_reclaim_hook : (unit -> unit) ref = ref (fun () -> ())
    lives in [Durable] to keep this module dependency-free. *)
 let durability = ref false
 
-let schedule_point () =
+let point_hooks () =
   if !recovery then !heartbeat_hook ();
-  if !fault_injection then !fault_hook ();
+  if !fault_injection then !fault_hook ()
+
+let schedule_point () =
+  point_hooks ();
   !yield_hook Pure
 
-let schedule_point_on a =
-  if !recovery then !heartbeat_hook ();
-  if !fault_injection then !fault_hook ();
-  !yield_hook a
+let schedule_read pe =
+  point_hooks ();
+  if !yield_hook != no_yield then !yield_hook (Read pe)
+
+let schedule_write pe =
+  point_hooks ();
+  if !yield_hook != no_yield then !yield_hook (Write pe)
+
+let schedule_lock pe =
+  point_hooks ();
+  if !yield_hook != no_yield then !yield_hook (Lock pe)
 
 let simulated = ref false
 

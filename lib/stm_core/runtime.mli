@@ -70,8 +70,14 @@ val durability : bool ref
 val schedule_point : unit -> unit
 (** Invoke the yield hook with a {!Pure} annotation. *)
 
-val schedule_point_on : access -> unit
-(** Invoke the yield hook with the given annotation. *)
+val schedule_read : int -> unit
+(** Invoke the yield hook with [Read pe].  Like {!schedule_write} and
+    {!schedule_lock}, it builds the annotation only while a hook other than
+    the default no-op is installed, so an unscheduled access allocates
+    nothing. *)
+
+val schedule_write : int -> unit
+val schedule_lock : int -> unit
 
 val tracing : bool ref
 (** When set (by the deterministic scheduler), shared accesses performed by

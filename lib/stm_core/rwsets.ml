@@ -2,26 +2,26 @@
     "the wset existential (W) erases entry element types; every cast \
      re-attaches a type witnessed by the entry's own tvar"]
 
-type rentry = {
-  r_lock : Vlock.t;
-  r_seen : int;
-  r_pe : int;
-}
+(* A read observation of [lock] at stamp [seen] is still valid if the
+   stamp is unchanged, or if it is our own write lock over the version we
+   observed (stamp = seen lor 1 set by our try_lock). *)
+let read_valid ~owner lock ~seen =
+  let s = Vlock.stamp lock in
+  s = seen
+  || Vlock.locked s
+     && Vlock.owner lock = owner
+     && Vlock.version_of s = Vlock.version_of seen
 
-let dummy_rentry = { r_lock = Vlock.create (); r_seen = 0; r_pe = -1 }
-
-let rentry_valid ~owner (e : rentry) =
-  let s = Vlock.stamp e.r_lock in
-  if s = e.r_seen then true
-  else
-    (* The stamp changed; still fine if it is our own write lock over the
-       version we observed (stamp = seen lor 1 set by our try_lock). *)
-    Vlock.locked s
-    && Vlock.owner e.r_lock = owner
-    && Vlock.version_of s = Vlock.version_of e.r_seen
+let no_lock = Vlock.create ()
 
 module Rset = struct
-  (* [validated_upto] is the incremental-validation watermark: every entry
+  (* A struct of arrays: entry [i] is the observation of [locks.(i)] at
+     stamp [seen.(i)], for protection element [pes.(i)].  Adding an entry
+     writes three slots and allocates nothing once the arrays are grown;
+     a fresh set owns no arrays until its first add, so the per-child sets
+     of nested transactions cost nothing when the child reads nothing.
+
+     [validated_upto] is the incremental-validation watermark: every entry
      below it passed the last successful validation while the owning
      transaction's validity interval [rv] was unchanged.  While [rv] stays
      put, a prefix entry invalidated *after* that validation can only have
@@ -33,80 +33,114 @@ module Rset = struct
      checks the suffix only; interval extension and commit, where [rv]
      effectively moves, use the full-scan [validate]. *)
   type t = {
-    entries : rentry Vec.t;
+    mutable locks : Vlock.t array;
+    mutable seen : int array;
+    mutable pes : int array;
+    mutable len : int;
     mutable validated_upto : int;
     mutable last_scan : int;
   }
 
   let create () =
-    { entries = Vec.create ~dummy:dummy_rentry ();
-      validated_upto = 0;
+    { locks = [||]; seen = [||]; pes = [||]; len = 0; validated_upto = 0;
       last_scan = 0 }
 
-  let length t = Vec.length t.entries
-  let is_empty t = Vec.is_empty t.entries
+  let length t = t.len
+  let is_empty t = t.len = 0
   let validated_upto t = t.validated_upto
   let last_scan t = t.last_scan
 
+  (* Freed lock slots are wiped, so a reused scratch set pins no lock. *)
   let clear t =
-    Vec.clear t.entries;
+    Array.fill t.locks 0 t.len no_lock;
+    t.len <- 0;
     t.validated_upto <- 0;
     t.last_scan <- 0
 
-  let push t e = Vec.push t.entries e
-  let iter f t = Vec.iter f t.entries
+  let grow t need =
+    let cap = max need (max 16 (2 * Array.length t.locks)) in
+    let extend a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 t.len;
+      b
+    in
+    t.locks <- extend t.locks no_lock;
+    t.seen <- extend t.seen 0;
+    t.pes <- extend t.pes 0
+
+  let add t lock ~seen ~pe =
+    let i = t.len in
+    if i = Array.length t.locks then grow t (i + 1);
+    t.locks.(i) <- lock;
+    t.seen.(i) <- seen;
+    t.pes.(i) <- pe;
+    t.len <- i + 1
+
+  let iter f t =
+    for i = 0 to t.len - 1 do
+      f t.locks.(i) t.seen.(i) t.pes.(i)
+    done
 
   (* Appending leaves [dst]'s watermark alone: the new entries land in the
      unvalidated suffix, exactly where incremental validation looks. *)
-  let append_into ~src ~dst = Vec.append_into ~src:src.entries ~dst:dst.entries
+  let append_into ~src ~dst =
+    let n = src.len and at = dst.len in
+    if at + n > Array.length dst.locks then grow dst (at + n);
+    Array.blit src.locks 0 dst.locks at n;
+    Array.blit src.seen 0 dst.seen at n;
+    Array.blit src.pes 0 dst.pes at n;
+    dst.len <- at + n
 
   (* Every validation entry point draws from the same injection hook, so
      chaos runs exercise incremental and bounded validation failures too. *)
   let injected_fail () =
     !Runtime.fault_injection && Faults.inject_validation_fail ()
 
-  let validate_from t ~owner ~from =
-    let n = Vec.length t.entries in
-    t.last_scan <- n - from;
-    let rec go i =
-      i >= n || (rentry_valid ~owner (Vec.get t.entries i) && go (i + 1))
-    in
-    let ok = go from in
-    if ok then t.validated_upto <- n;
-    ok
+  (* Entries [i, len) are valid and observed versions at most [limit]. *)
+  let rec valid_from t ~owner ~limit i =
+    i >= t.len
+    || (let seen = t.seen.(i) in
+        Vlock.version_of seen <= limit
+        && read_valid ~owner t.locks.(i) ~seen
+        && valid_from t ~owner ~limit (i + 1))
 
-  let validate t ~owner =
-    if injected_fail () then false else validate_from t ~owner ~from:0
-
-  let validate_new t ~owner =
-    if injected_fail () then false
-    else validate_from t ~owner ~from:t.validated_upto
-
-  let validate_upto t ~owner ~limit =
+  let scan t ~owner ~limit ~from =
     if injected_fail () then false
     else begin
-      t.last_scan <- Vec.length t.entries;
-      let ok =
-        Vec.for_all
-          (fun e -> Vlock.version_of e.r_seen <= limit && rentry_valid ~owner e)
-          t.entries
-      in
-      if ok then t.validated_upto <- Vec.length t.entries;
+      t.last_scan <- t.len - from;
+      let ok = valid_from t ~owner ~limit from in
+      if ok then t.validated_upto <- t.len;
       ok
     end
 
-  (* Early release: drop every observation of [pe].  Filtering preserves
+  let validate t ~owner = scan t ~owner ~limit:max_int ~from:0
+
+  let validate_new t ~owner =
+    scan t ~owner ~limit:max_int ~from:t.validated_upto
+
+  let validate_upto t ~owner ~limit = scan t ~owner ~limit ~from:0
+
+  (* Early release: drop every observation of [pe].  Compaction preserves
      order, so the surviving prefix of the old validated prefix is still a
      prefix — the watermark just shrinks by the number of validated
      entries dropped. *)
   let filter_pe t ~pe =
-    let wm = t.validated_upto in
-    let dropped_below = ref 0 in
-    for i = 0 to wm - 1 do
-      if (Vec.get t.entries i).r_pe = pe then incr dropped_below
+    let kept = ref 0 and dropped_below = ref 0 in
+    for i = 0 to t.len - 1 do
+      if t.pes.(i) = pe then begin
+        if i < t.validated_upto then incr dropped_below
+      end
+      else begin
+        t.locks.(!kept) <- t.locks.(i);
+        t.seen.(!kept) <- t.seen.(i);
+        t.pes.(!kept) <- t.pes.(i);
+        incr kept
+      end
     done;
-    let dropped = Vec.filter_in_place (fun e -> e.r_pe <> pe) t.entries in
-    t.validated_upto <- wm - !dropped_below;
+    let dropped = t.len - !kept in
+    Array.fill t.locks !kept dropped no_lock;
+    t.len <- !kept;
+    t.validated_upto <- t.validated_upto - !dropped_below;
     dropped
 end
 
@@ -193,40 +227,38 @@ module Wset = struct
     Vec.iteri (fun slot e -> index_insert t (wentry_pe e) slot) t.entries
 
   (* Entry slot of [pe], or -1.  The probe terminates because the table
-     keeps load factor <= 1/2, so an empty slot is always reachable. *)
+     keeps load factor <= 1/2, so an empty slot is always reachable.  The
+     loops are top-level functions, so a lookup builds no closure. *)
+  let rec probe t pe mask i =
+    let s = t.index.(i) in
+    if s < 0 then -1
+    else if wentry_pe (Vec.get t.entries s) = pe then s
+    else probe t pe mask ((i + 1) land mask)
+
+  let rec scan t pe i =
+    if i >= Vec.length t.entries then -1
+    else if wentry_pe (Vec.get t.entries i) = pe then i
+    else scan t pe (i + 1)
+
   let find_slot t pe =
     if t.summary land summary_bit pe = 0 then -1
     else if t.indexed then begin
       let mask = Array.length t.index - 1 in
-      let rec probe i =
-        let s = t.index.(i) in
-        if s < 0 then -1
-        else if wentry_pe (Vec.get t.entries s) = pe then s
-        else probe ((i + 1) land mask)
-      in
-      probe (probe_start pe mask)
+      probe t pe mask (probe_start pe mask)
     end
-    else begin
-      let n = Vec.length t.entries in
-      let rec scan i =
-        if i >= n then -1
-        else if wentry_pe (Vec.get t.entries i) = pe then i
-        else scan (i + 1)
-      in
-      scan 0
-    end
+    else scan t pe 0
 
   let find_entry t pe =
     match find_slot t pe with
     | -1 -> None
     | s -> Some (Vec.get t.entries s)
 
-  let find (type a) t (tv : a Tvar.t) : a option =
-    match find_slot t tv.Tvar.id with
-    | -1 -> None
-    | s ->
-      let (W e) = Vec.get t.entries s in
-      Some (Obj.magic e.pending : a)
+  let slot t tv = find_slot t tv.Tvar.id
+
+  let pending (type a) t s (tv : a Tvar.t) : a =
+    let (W e) = Vec.get t.entries s in
+    if e.tv.Tvar.id <> tv.Tvar.id then invalid_arg "Wset.pending: wrong slot";
+    (Obj.magic e.pending : a)
 
   let mem_pe t pe = find_slot t pe >= 0
 
@@ -307,7 +339,7 @@ module Wset = struct
     while !ok && !i < n do
       let (W e) = Vec.get t.entries !i in
       if not e.locked then begin
-        Runtime.schedule_point_on (Runtime.Lock (wentry_pe (W e)));
+        Runtime.schedule_lock e.tv.Tvar.id;
         if not (try_lock_wentry (W e) ~owner) then ok := false
       end;
       incr i
@@ -321,7 +353,7 @@ module Wset = struct
     | Some (W e) ->
       e.locked
       || begin
-           Runtime.schedule_point_on (Runtime.Lock (wentry_pe (W e)));
+           Runtime.schedule_lock e.tv.Tvar.id;
            try_lock_wentry (W e) ~owner
          end
 

@@ -1,21 +1,21 @@
 (** Read sets and write sets shared by all STM implementations. *)
 
-(** {1 Read entries} *)
+(** {1 Read sets} *)
 
-type rentry = {
-  r_lock : Vlock.t;
-  r_seen : int;   (** full stamp observed when the location was read *)
-  r_pe : int;     (** protection-element (tvar) id *)
-}
+val read_valid : owner:int -> Vlock.t -> seen:int -> bool
+(** An observation of the lock at stamp [seen] still holds: the stamp is
+    unchanged, or the location is currently write-locked by [owner] itself
+    over the observed version. *)
 
-val dummy_rentry : rentry
+val no_lock : Vlock.t
+(** A lock no tvar owns, for filling unused lock slots. *)
 
-val rentry_valid : owner:int -> rentry -> bool
-(** The entry's stamp is unchanged, or the location is currently
-    write-locked by [owner] itself over the observed version. *)
-
-(** A read set is a vector of read entries plus an incremental-validation
-    watermark.  One location may appear several times; validation simply
+(** A read set is a sequence of observations [(lock, seen, pe)] — the
+    versioned lock read, the full stamp observed and the protection-element
+    (tvar) id — plus an incremental-validation watermark.  It is stored as
+    a struct of arrays, so adding an observation allocates nothing once
+    the arrays have grown, and a fresh set allocates no array until its
+    first add.  One location may appear several times; validation simply
     checks every recorded observation.  Entries below the watermark passed
     the last successful validation; {!validate_new} checks only the suffix
     appended since, which is sound while the transaction's validity
@@ -28,8 +28,12 @@ module Rset : sig
   val is_empty : t -> bool
   val clear : t -> unit
 
-  val push : t -> rentry -> unit
-  val iter : (rentry -> unit) -> t -> unit
+  val add : t -> Vlock.t -> seen:int -> pe:int -> unit
+  (** Record one observation. *)
+
+  val iter : (Vlock.t -> int -> int -> unit) -> t -> unit
+  (** [iter f t] calls [f lock seen pe] on every observation, oldest
+      first. *)
 
   val append_into : src:t -> dst:t -> unit
   (** Append [src]'s entries to [dst] (nesting merge).  [dst]'s watermark
@@ -75,8 +79,13 @@ module Wset : sig
   val is_empty : t -> bool
   val size : t -> int
 
-  val find : t -> 'a Tvar.t -> 'a option
-  (** Pending value for [tv], if this write set wrote it. *)
+  val slot : t -> 'a Tvar.t -> int
+  (** The slot of [tv]'s pending write, or the sentinel -1 if this write set
+      did not write it; the read path tests it without allocating. *)
+
+  val pending : t -> int -> 'a Tvar.t -> 'a
+  (** The pending value in the slot that {!slot} returned for [tv].
+      Raises [Invalid_argument] if the slot holds another tvar. *)
 
   val mem_pe : t -> int -> bool
 

@@ -295,9 +295,9 @@ let on_tx_read ~validate =
 let on_commit ~owner ~wv iter =
   if active () then begin
     Atomic.incr c_commits_checked;
-    iter (fun (e : Rwsets.rentry) ->
-        let s = Vlock.stamp e.Rwsets.r_lock in
-        let seen = Vlock.version_of e.Rwsets.r_seen in
+    iter (fun lock seen_stamp pe ->
+        let s = Vlock.stamp lock in
+        let seen = Vlock.version_of seen_stamp in
         let now = Vlock.version_of s in
         (* Proven-safe staleness rule: this commit serialises at [wv], so a
            read entry whose lock is free with a version that differs from
@@ -309,7 +309,7 @@ let on_commit ~owner ~wv iter =
            skipped.  Equality is a violation too: ticks are unique, so no
            other commit installs at exactly [wv]. *)
         if (not (Vlock.locked s)) && now <> seen && now <= wv then
-          record ~kind:Commit_stale ~pe:e.Rwsets.r_pe ~owner
+          record ~kind:Commit_stale ~pe ~owner
             (Printf.sprintf
                "committing at wv %d with a read of version %d whose \
                 location is now at version %d"

@@ -139,11 +139,13 @@ val on_tx_read : validate:(unit -> bool) -> unit
     [Read_inconsistent] (counted as a zombie abort, not a violation) when
     it fails. *)
 
-val on_commit : owner:int -> wv:int -> ((Rwsets.rentry -> unit) -> unit) -> unit
+val on_commit :
+  owner:int -> wv:int -> ((Vlock.t -> int -> int -> unit) -> unit) -> unit
 (** Called by a writing commit after the engine validated its read set and
     ticked the clock to [wv], while the write locks are still held and
     before installing.  The third argument iterates the commit's tracked
-    read entries; stale ones (see [Commit_stale] above) are reported. *)
+    reads as [(lock, seen stamp, pe)], like {!Rwsets.Rset.iter}; stale
+    ones (see [Commit_stale] above) are reported. *)
 
 (** {2 Retry-loop-facing attempt audit} *)
 

@@ -10,31 +10,42 @@ let make v =
 
 let id tv = tv.id
 
-(* Double-stamp read: the two SC atomic loads around the plain load of
-   [content] ensure that if the stamp is identical and unlocked on both sides
-   then the plain load observed the value published by the commit that wrote
-   that stamp (commit stores content before the atomic unlock).
+(* Double-stamp read, split in two so that engines build no closure and
+   no tuple: [read_stamp] is the first SC atomic load, [read_value] the
+   plain load of [content] and the second atomic load.  If the stamp is
+   identical and unlocked on both sides then the plain load observed the
+   value published by the commit that wrote that stamp (commit stores
+   content before the atomic unlock).
 
    The stamp loads trace themselves (the lock's pe is the tvar id), so a
    traced step covers the content load too — same protection element. *)
+
+(* The stamp was locked: one bounded retry after an orphan steal, since a
+   reader stuck behind a lock whose owner died would otherwise abort
+   forever.  Kept out of [read_stamp], whose common path stays one load
+   and one branch. *)
+let locked_stamp tv =
+  if !Runtime.recovery && Recovery.try_steal_vlock tv.lock then begin
+    let s = Vlock.stamp tv.lock in
+    if Vlock.locked s then Control.abort_tx Control.Read_locked;
+    s
+  end
+  else Control.abort_tx Control.Read_locked
+
+let read_stamp tv =
+  let s = Vlock.stamp tv.lock in
+  if Vlock.locked s then locked_stamp tv else s
+
+let read_value tv ~stamp =
+  let v = tv.content in
+  if Vlock.stamp tv.lock <> stamp then
+    Control.abort_tx Control.Read_inconsistent;
+  v
+
 let read_consistent tv =
-  (* One bounded retry after an orphan steal: a reader stuck behind a lock
-     whose owner died would otherwise abort forever. *)
-  let rec go retried =
-    let s1 = Vlock.stamp tv.lock in
-    if Vlock.locked s1 then begin
-      if (not retried) && !Runtime.recovery && Recovery.try_steal_vlock tv.lock
-      then go true
-      else Control.abort_tx Control.Read_locked
-    end
-    else begin
-      let v = tv.content in
-      let s2 = Vlock.stamp tv.lock in
-      if s1 <> s2 then Control.abort_tx Control.Read_inconsistent;
-      (s1, v)
-    end
-  in
-  go false
+  let s = read_stamp tv in
+  let v = read_value tv ~stamp:s in
+  (s, v)
 
 let peek tv =
   if !Runtime.sanitizer then

@@ -17,11 +17,22 @@ val make : 'a -> 'a t
 
 val id : 'a t -> int
 
+val read_stamp : 'a t -> int
+(** First half of the double-stamp read: the current stamp of [tv], which
+    is unlocked.  Raises {!Control.Abort_tx}[ Read_locked] if the lock is
+    held (after one orphan-steal retry under recovery).  Follow it with
+    {!read_value}. *)
+
+val read_value : 'a t -> stamp:int -> 'a
+(** Second half: the content of [tv], provided its stamp is still [stamp]
+    (from {!read_stamp}) after the load; raises
+    {!Control.Abort_tx}[ Read_inconsistent] otherwise.  The pair allocates
+    nothing. *)
+
 val read_consistent : 'a t -> int * 'a
 (** [read_consistent tv] returns [(stamp, value)] such that [value] was the
-    content of [tv] while its stamp was [stamp] and the lock was free.
-    Raises {!Control.Abort_tx} if the lock is observed held or the stamp
-    changes between the two fence reads (TL2-style double-stamp read). *)
+    content of [tv] while its stamp was [stamp] and the lock was free: the
+    two halves above, returned as a pair (TL2-style double-stamp read). *)
 
 val peek : 'a t -> 'a
 (** Unvalidated read of the current content, for sequential baselines,

@@ -51,14 +51,6 @@ let exists p t =
 
 let for_all p t = not (exists (fun x -> not (p x)) t)
 
-let find_opt p t =
-  let rec loop i =
-    if i >= t.len then None
-    else if p t.data.(i) then Some t.data.(i)
-    else loop (i + 1)
-  in
-  loop 0
-
 let fold_left f acc t =
   let acc = ref acc in
   for i = 0 to t.len - 1 do
@@ -110,19 +102,3 @@ let sort cmp t =
         sift_down 0 stop
       done
     end
-
-let append_into ~src ~dst = iter (push dst) src
-
-let filter_in_place p t =
-  let kept = ref 0 in
-  for i = 0 to t.len - 1 do
-    let x = t.data.(i) in
-    if p x then begin
-      t.data.(!kept) <- x;
-      incr kept
-    end
-  done;
-  let dropped = t.len - !kept in
-  Array.fill t.data !kept dropped t.dummy;
-  t.len <- !kept;
-  dropped

@@ -24,15 +24,7 @@ val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val exists : ('a -> bool) -> 'a t -> bool
 val for_all : ('a -> bool) -> 'a t -> bool
-val find_opt : ('a -> bool) -> 'a t -> 'a option
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_list : 'a t -> 'a list
 val sort : ('a -> 'a -> int) -> 'a t -> unit
 (** Sorts the live prefix in place without allocating (not stable). *)
-
-val append_into : src:'a t -> dst:'a t -> unit
-(** Pushes every element of [src] onto [dst]. *)
-
-val filter_in_place : ('a -> bool) -> 'a t -> int
-(** Keeps only the elements satisfying the predicate, preserving order;
-    returns how many were dropped.  Freed slots are wiped to the dummy. *)

@@ -104,27 +104,30 @@ end) : S with type 'a tvar = 'a Tvar.t = struct
   (* Critical read: consistent now, validated again at commit. *)
   let read : type a. ctx -> a tvar -> a =
    fun ctx tv ->
-    Runtime.schedule_point_on (Runtime.Read (Tvar.id tv));
-    match Rwsets.Wset.find ctx.root.wset tv with
-    | Some v ->
+    let pe = Tvar.id tv in
+    Runtime.schedule_read pe;
+    let slot = Rwsets.Wset.slot ctx.root.wset tv in
+    if slot >= 0 then begin
+      let v = Rwsets.Wset.pending ctx.root.wset slot tv in
       if Stats.detailed_enabled () then Stats.record_read_ws_hit stats;
-      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe:(Tvar.id tv) v;
+      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe v;
       v
-    | None ->
+    end
+    else begin
       if Stats.detailed_enabled () then Stats.record_read_ws_miss stats;
-      let s, v = Tvar.read_consistent tv in
-      let pe = Tvar.id tv in
+      let s = Tvar.read_stamp tv in
+      let v = Tvar.read_value tv ~stamp:s in
       (* Keep critical reads within a consistent snapshot, extending the
          validity interval LSA-style when a newer version appears. *)
       if Vlock.version_of s > ctx.root.rv then extend ctx;
       Txrec.acquire ctx.root.rec_state ~pe;
-      Rwsets.Rset.push ctx.view
-        { Rwsets.r_lock = tv.Tvar.lock; r_seen = s; r_pe = pe };
+      Rwsets.Rset.add ctx.view tv.Tvar.lock ~seen:s ~pe;
       (* Weak reads stay unchecked by the sanitizer by design — they are
          the view-transaction relaxation. *)
       if !Runtime.sanitizer then check_read ctx;
       Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe v;
       v
+    end
 
   (* Weak read: consistent at the moment it happens, never revalidated.
      Its protection element is acquired and released around the operation,
@@ -132,21 +135,22 @@ end) : S with type 'a tvar = 'a Tvar.t = struct
      nothing (an empty contribution to Pmin). *)
   let read_weak : type a. ctx -> a tvar -> a =
    fun ctx tv ->
-    Runtime.schedule_point_on (Runtime.Read (Tvar.id tv));
-    match Rwsets.Wset.find ctx.root.wset tv with
-    | Some v -> v
-    | None ->
-      let _, v = Tvar.read_consistent tv in
-      let pe = Tvar.id tv in
+    let pe = Tvar.id tv in
+    Runtime.schedule_read pe;
+    let slot = Rwsets.Wset.slot ctx.root.wset tv in
+    if slot >= 0 then Rwsets.Wset.pending ctx.root.wset slot tv
+    else begin
+      let v = Tvar.read_value tv ~stamp:(Tvar.read_stamp tv) in
       Txrec.acquire ctx.root.rec_state ~pe;
       Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe v;
       Txrec.release ctx.root.rec_state ~pe;
       v
+    end
 
   let write : type a. ctx -> a tvar -> a -> unit =
    fun ctx tv v ->
-    Runtime.schedule_point_on (Runtime.Write (Tvar.id tv));
     let pe = Tvar.id tv in
+    Runtime.schedule_write pe;
     let first = Rwsets.Wset.add ctx.root.wset tv v in
     if first then Txrec.acquire ctx.root.rec_state ~pe;
     Txrec.write ctx.root.rec_state ~tx:ctx.tx_id ~pe v

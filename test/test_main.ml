@@ -20,6 +20,7 @@ let () =
     ([ ("vlock", Test_vlock.suite);
        ("vec", Test_vec.suite);
        ("rwsets", Test_rwsets.suite);
+       ("alloc", Test_alloc.suite);
        ("stats", Test_stats.suite);
        ("theory", Test_theory.suite);
        ("schedsim", Test_schedsim.suite);

@@ -8,6 +8,12 @@
 
 open Stm_core
 
+(* The pending value for [tv], if [ws] wrote it. *)
+let find ws tv =
+  match Rwsets.Wset.slot ws tv with
+  | -1 -> None
+  | s -> Some (Rwsets.Wset.pending ws s tv)
+
 let test_wset_find_typed () =
   let ws = Rwsets.Wset.create () in
   let a = Tvar.make 1 in
@@ -15,10 +21,10 @@ let test_wset_find_typed () =
   Alcotest.(check bool) "first write to a" true (Rwsets.Wset.add ws a 10);
   Alcotest.(check bool) "first write to b" true (Rwsets.Wset.add ws b "x");
   Alcotest.(check bool) "second write to a" false (Rwsets.Wset.add ws a 20);
-  Alcotest.(check (option int)) "a pending" (Some 20) (Rwsets.Wset.find ws a);
-  Alcotest.(check (option string)) "b pending" (Some "x") (Rwsets.Wset.find ws b);
+  Alcotest.(check (option int)) "a pending" (Some 20) (find ws a);
+  Alcotest.(check (option string)) "b pending" (Some "x") (find ws b);
   let c = Tvar.make 0 in
-  Alcotest.(check (option int)) "c absent" None (Rwsets.Wset.find ws c);
+  Alcotest.(check (option int)) "c absent" None (find ws c);
   Alcotest.(check int) "size counts distinct tvars" 2 (Rwsets.Wset.size ws)
 
 let test_lock_all_and_install () =
@@ -53,9 +59,7 @@ let test_lock_all_fails_and_rolls_back () =
   Alcotest.(check int) "values untouched on rollback" 1 (Tvar.peek a)
 
 let push_read rs tv =
-  let s, _ = Tvar.read_consistent tv in
-  Rwsets.Rset.push rs
-    { Rwsets.r_lock = tv.Tvar.lock; r_seen = s; r_pe = Tvar.id tv }
+  Rwsets.Rset.add rs tv.Tvar.lock ~seen:(Tvar.read_stamp tv) ~pe:(Tvar.id tv)
 
 let test_rset_validate () =
   let rs = Rwsets.Rset.create () in
@@ -102,7 +106,7 @@ let prop_wset_last_write_wins =
               (fun acc (j, v) -> if i = j then Some v else acc)
               None writes
           in
-          Rwsets.Wset.find ws tvs.(i) = expected)
+          find ws tvs.(i) = expected)
         (List.init 10 Fun.id))
 
 (* ------------------------------------------------------------------ *)
@@ -135,7 +139,7 @@ let prop_wset_differential =
         Array.for_all
           (fun tv ->
             let pe = Tvar.id tv in
-            Rwsets.Wset.find ws tv = List.assoc_opt pe !model
+            find ws tv = List.assoc_opt pe !model
             && Rwsets.Wset.mem_pe ws pe = List.mem_assoc pe !model)
           tvs
         && Rwsets.Wset.size ws = List.length !model
@@ -174,7 +178,7 @@ let test_wset_large_lock_order () =
   Array.iter
     (fun tv ->
       Alcotest.(check (option int))
-        "find after sort" (Some 0) (Rwsets.Wset.find ws tv))
+        "find after sort" (Some 0) (find ws tv))
     tvs;
   Rwsets.Wset.unlock_all_restore ws
 
@@ -183,7 +187,7 @@ let test_wset_large_lock_order () =
 
 let reference_validate_from entries ~owner ~from =
   List.for_all
-    (Rwsets.rentry_valid ~owner)
+    (fun (lock, seen) -> Rwsets.read_valid ~owner lock ~seen)
     (List.filteri (fun i _ -> i >= from) entries)
 
 let prop_rset_watermark =
@@ -200,12 +204,9 @@ let prop_rset_watermark =
       List.for_all
         (fun i ->
           let tv = tvs.(i) in
-          let s, _ = Tvar.read_consistent tv in
-          let e =
-            { Rwsets.r_lock = tv.Tvar.lock; r_seen = s; r_pe = Tvar.id tv }
-          in
-          Rwsets.Rset.push rs e;
-          entries := !entries @ [ e ];
+          let s = Tvar.read_stamp tv in
+          Rwsets.Rset.add rs tv.Tvar.lock ~seen:s ~pe:(Tvar.id tv);
+          entries := !entries @ [ (tv.Tvar.lock, s) ];
           (* Invalidate every third location behind the set's back. *)
           if i mod 3 = 0 then begin
             ignore (Vlock.try_lock tv.Tvar.lock ~owner:999);
@@ -221,6 +222,158 @@ let prop_rset_watermark =
           && (not full
              || Rwsets.Rset.validated_upto rs = Rwsets.Rset.length rs))
         reads)
+
+(* The struct-of-arrays Rset against a plain list model, over random
+   sequences of adds, nesting merges, early releases, clears, foreign
+   commits and the transaction's own write locks.  The model keeps its
+   own watermark and scan count and decides validity from the raw stamp,
+   so every observable of the set is checked against an independent
+   reading of its contract. *)
+
+type rop =
+  | R_add of int
+  | R_append of int list  (* a child set reading these, merged in *)
+  | R_filter of int
+  | R_clear
+  | R_bump of int  (* a foreign commit moves the location on *)
+  | R_own of int  (* toggle the transaction's own write lock *)
+  | R_validate
+  | R_validate_new
+  | R_validate_upto of int
+
+let rop_print = function
+  | R_add i -> Printf.sprintf "Add %d" i
+  | R_append is ->
+    Printf.sprintf "Append [%s]" (String.concat ";" (List.map string_of_int is))
+  | R_filter i -> Printf.sprintf "Filter %d" i
+  | R_clear -> "Clear"
+  | R_bump i -> Printf.sprintf "Bump %d" i
+  | R_own i -> Printf.sprintf "Own %d" i
+  | R_validate -> "Validate"
+  | R_validate_new -> "Validate_new"
+  | R_validate_upto l -> Printf.sprintf "Validate_upto %d" l
+
+let rop_gen =
+  let tv = QCheck.Gen.int_bound 7 in
+  QCheck.Gen.(
+    frequency
+      [ (12, map (fun i -> R_add i) tv);
+        (2, map (fun is -> R_append is) (list_size (int_bound 20) tv));
+        (2, map (fun i -> R_filter i) tv);
+        (1, return R_clear);
+        (3, map (fun i -> R_bump i) tv);
+        (2, map (fun i -> R_own i) tv);
+        (3, return R_validate);
+        (4, return R_validate_new);
+        (2, map (fun l -> R_validate_upto l) (int_bound 6)) ])
+
+type rmodel = {
+  mutable m_entries : (Vlock.t * int * int) list;  (* oldest first *)
+  mutable m_wm : int;
+  mutable m_scan : int;
+}
+
+let model_valid ~owner (lock, seen, _) =
+  let s = Vlock.stamp lock in
+  s = seen
+  || Vlock.locked s
+     && Vlock.locked_by lock ~owner
+     && Vlock.version_of s = Vlock.version_of seen
+
+let model_scan m ~owner ~limit ~from =
+  let n = List.length m.m_entries in
+  m.m_scan <- n - from;
+  let ok =
+    List.for_all
+      (fun ((_, seen, _) as e) ->
+        Vlock.version_of seen <= limit && model_valid ~owner e)
+      (List.filteri (fun i _ -> i >= from) m.m_entries)
+  in
+  if ok then m.m_wm <- n;
+  ok
+
+let prop_rset_model =
+  QCheck.Test.make ~name:"rset: struct of arrays = list model" ~count:300
+    QCheck.(
+      make ~print:(QCheck.Print.list rop_print)
+        (Gen.list_size (Gen.int_range 0 80) rop_gen))
+    (fun ops ->
+      let owner = 1 in
+      let tvs = Array.init 8 (fun i -> Tvar.make i) in
+      let rs = Rwsets.Rset.create () in
+      let m = { m_entries = []; m_wm = 0; m_scan = 0 } in
+      (* An observation of [tv], unless its lock is held (own write locks
+         are read through the write set, never observed). *)
+      let observe tv =
+        let s = Vlock.stamp tv.Tvar.lock in
+        if Vlock.locked s then None else Some (tv.Tvar.lock, s, Tvar.id tv)
+      in
+      let add rs (lock, seen, pe) = Rwsets.Rset.add rs lock ~seen ~pe in
+      let agree ok ok_model =
+        ok = ok_model
+        && Rwsets.Rset.length rs = List.length m.m_entries
+        && Rwsets.Rset.validated_upto rs = m.m_wm
+        && Rwsets.Rset.last_scan rs = m.m_scan
+        && Rwsets.Rset.is_empty rs = (m.m_entries = [])
+      in
+      let step = function
+        | R_add i ->
+          (match observe tvs.(i) with
+          | Some e ->
+            add rs e;
+            m.m_entries <- m.m_entries @ [ e ]
+          | None -> ());
+          agree true true
+        | R_append is ->
+          let child = Rwsets.Rset.create () in
+          let es = List.filter_map (fun i -> observe tvs.(i)) is in
+          List.iter (add child) es;
+          Rwsets.Rset.append_into ~src:child ~dst:rs;
+          m.m_entries <- m.m_entries @ es;
+          agree true true
+        | R_filter i ->
+          let pe = Tvar.id tvs.(i) in
+          let dropped = Rwsets.Rset.filter_pe rs ~pe in
+          let keep (_, _, p) = p <> pe in
+          let below =
+            List.length
+              (List.filteri
+                 (fun j e -> j < m.m_wm && not (keep e))
+                 m.m_entries)
+          in
+          let before = List.length m.m_entries in
+          m.m_entries <- List.filter keep m.m_entries;
+          m.m_wm <- m.m_wm - below;
+          agree dropped (before - List.length m.m_entries)
+        | R_clear ->
+          Rwsets.Rset.clear rs;
+          m.m_entries <- [];
+          m.m_wm <- 0;
+          m.m_scan <- 0;
+          agree true true
+        | R_bump i ->
+          let l = tvs.(i).Tvar.lock in
+          let s = Vlock.stamp l in
+          if (not (Vlock.locked s)) && Vlock.try_lock l ~owner:999 then
+            Vlock.unlock_to l ~version:(Vlock.version_of s + 1);
+          agree true true
+        | R_own i ->
+          let l = tvs.(i).Tvar.lock in
+          if Vlock.locked_by l ~owner then Vlock.unlock_restore l
+          else ignore (Vlock.try_lock l ~owner);
+          agree true true
+        | R_validate ->
+          let ok = Rwsets.Rset.validate rs ~owner in
+          agree ok (model_scan m ~owner ~limit:max_int ~from:0)
+        | R_validate_new ->
+          let from = m.m_wm in
+          let ok = Rwsets.Rset.validate_new rs ~owner in
+          agree ok (model_scan m ~owner ~limit:max_int ~from)
+        | R_validate_upto limit ->
+          let ok = Rwsets.Rset.validate_upto rs ~owner ~limit in
+          agree ok (model_scan m ~owner ~limit ~from:0)
+      in
+      List.for_all step ops)
 
 let test_rset_suffix_only_semantics () =
   (* The whole point of the watermark: after a successful full validation,
@@ -328,7 +481,7 @@ let test_wset_clear_releases_tvar () =
   let b = Tvar.make 7 in
   ignore (Rwsets.Wset.add ws b 8);
   Alcotest.(check (option int)) "reuse after clear" (Some 8)
-    (Rwsets.Wset.find ws b)
+    (find ws b)
 
 (* ------------------------------------------------------------------ *)
 (* DPOR sweep: verdicts must be unchanged by the set indexing.  One
@@ -445,4 +598,5 @@ let suite =
       test_dpor_naive_agree_counter;
     QCheck_alcotest.to_alcotest prop_wset_last_write_wins;
     QCheck_alcotest.to_alcotest prop_wset_differential;
-    QCheck_alcotest.to_alcotest prop_rset_watermark ]
+    QCheck_alcotest.to_alcotest prop_rset_watermark;
+    QCheck_alcotest.to_alcotest prop_rset_model ]

@@ -209,17 +209,15 @@ let test_broken_engine_commit_stale () =
       Vlock.unlock_to l ~version:1;
       (* ...and the broken engine still commits its version-0 read at
          wv 2 without validating. *)
-      let entry =
-        { Rwsets.r_lock = l; Rwsets.r_seen = seen; Rwsets.r_pe = 424242 }
-      in
-      Sanitizer.on_commit ~owner:99 ~wv:2 (fun f -> f entry);
+      let entry f = f l seen 424242 in
+      Sanitizer.on_commit ~owner:99 ~wv:2 entry;
       Alcotest.(check int) "stale commit caught" 1
         (san_kind Sanitizer.Commit_stale);
       (* Post-validation interference (version beyond wv) is benign and
          must not be flagged. *)
       Alcotest.(check bool) "lock free" true (Vlock.try_lock l ~owner:88);
       Vlock.unlock_to l ~version:5;
-      Sanitizer.on_commit ~owner:99 ~wv:2 (fun f -> f entry);
+      Sanitizer.on_commit ~owner:99 ~wv:2 entry;
       Alcotest.(check int) "newer interference not flagged" 1
         (san_kind Sanitizer.Commit_stale))
 

@@ -34,14 +34,6 @@ let test_sort () =
   Vec.sort compare v;
   Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] (Vec.to_list v)
 
-let test_append_into () =
-  let a = Vec.create ~dummy:0 () in
-  let b = Vec.create ~dummy:0 () in
-  List.iter (Vec.push a) [ 1; 2 ];
-  List.iter (Vec.push b) [ 3; 4 ];
-  Vec.append_into ~src:b ~dst:a;
-  Alcotest.(check (list int)) "appended" [ 1; 2; 3; 4 ] (Vec.to_list a)
-
 let prop_model =
   (* Vec behaves like a list under pushes. *)
   QCheck.Test.make ~name:"vec agrees with list model" ~count:300
@@ -65,13 +57,13 @@ let prop_sort_model =
       Vec.sort compare v;
       Vec.to_list v = List.sort compare xs)
 
-(* The next two tests pin the hot-path leak fix: [clear] and
-   [filter_in_place] must wipe freed slots back to the dummy, otherwise the
-   backing array keeps the last transaction's entries alive for as long as
-   the (long-lived, domain-local) vector exists.  Weak pointers observe
-   collectability directly.  The allocations go through [@inline never]
-   helpers so no stack slot or register keeps the boxed value reachable
-   after the helper returns. *)
+(* The next test pins the hot-path leak fix: [clear] must wipe freed
+   slots back to the dummy, otherwise the backing array keeps the last
+   transaction's entries alive for as long as the (long-lived,
+   domain-local) vector exists.  Weak pointers observe collectability
+   directly.  The allocation goes through an [@inline never] helper so no
+   stack slot or register keeps the boxed value reachable after the
+   helper returns. *)
 
 let[@inline never] push_boxed v n =
   let x = ref n in
@@ -93,28 +85,6 @@ let test_clear_wipes () =
   Vec.push v (ref 9);
   Alcotest.(check int) "push after clear" 9 !(Vec.get v 0)
 
-let[@inline never] push_two_boxed v =
-  let keep = ref 1 in
-  let drop = ref 2 in
-  Vec.push v keep;
-  Vec.push v drop;
-  let w = Weak.create 1 in
-  Weak.set w 0 (Some drop);
-  w
-
-let test_filter_wipes () =
-  let dummy = ref (-1) in
-  let v = Vec.create ~dummy () in
-  let w = push_two_boxed v in
-  let dropped = Vec.filter_in_place (fun x -> !x <> 2) v in
-  Alcotest.(check int) "one dropped" 1 dropped;
-  Alcotest.(check int) "one kept" 1 (Vec.length v);
-  Gc.full_major ();
-  Gc.full_major ();
-  Alcotest.(check bool) "dropped element collected" true
-    (Weak.get w 0 = None);
-  Alcotest.(check int) "kept element intact" 1 !(Vec.get v 0)
-
 let test_sort_no_alloc () =
   let v = Vec.create ~dummy:0 () in
   for i = 999 downto 0 do
@@ -135,10 +105,7 @@ let suite =
     Alcotest.test_case "bounds checks" `Quick test_bounds;
     Alcotest.test_case "clear reuses storage" `Quick test_clear_reuses;
     Alcotest.test_case "sort" `Quick test_sort;
-    Alcotest.test_case "append_into" `Quick test_append_into;
     Alcotest.test_case "clear wipes freed slots" `Quick test_clear_wipes;
-    Alcotest.test_case "filter_in_place wipes freed slots" `Quick
-      test_filter_wipes;
     Alcotest.test_case "sort is allocation-free" `Quick test_sort_no_alloc;
     QCheck_alcotest.to_alcotest prop_model;
     QCheck_alcotest.to_alcotest prop_sort_model ]
